@@ -39,8 +39,13 @@ reach the expensive counting machinery:
    early termination once a count reaches ``assoc``; queries that survive
    :data:`_ROUND_LIMIT` rounds (huge hit-bound windows) escalate to
    :func:`_prefix_count`, a radix-8 Fenwick-style offline prefix counter
-   that is O(log m) per query regardless of window length.
+   that is O(log m) per query regardless of window length.  Queries
+   gather in batches of :data:`_QUERY_BATCH`, so their count never
+   sets the peak memory.
 
+Stages 1-6 are :func:`classify_misses`, which decides every hit and
+miss of an LRU level; the write-back hardware simulator
+(:mod:`repro.cache.simulator`) runs its own tail on the same stages.
 The write-through next-level stream (miss fetch, then the forwarded write
 for stores, in program order) is materialized with a cumulative-sum
 scatter, so the whole hierarchy is evaluated without Python-level
@@ -52,7 +57,7 @@ evaluation speed, not the Sec. IV model semantics.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +78,20 @@ _ROUND_LIMIT = 64
 # early, so scanning more than this many chunks is guaranteed wasted work
 # whenever the query turns out to be a hit.
 _PREFIX_DIRECT = 4 * _ROUND_LIMIT
+
+#: Hard queries per gather batch in stage 6.  Every batch gathers
+#: ``_QUERY_BATCH x 32`` values, so the batch -- not the number of hard
+#: queries -- bounds the transient memory of the counting.
+_QUERY_BATCH = 4096
+
+#: Interior-chunk rounds between cooperative checkpoints (stage 6a).
+_ROUNDS_PER_CHECK = 8
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _no_checkpoint() -> None:
+    return None
 
 
 def le_rank(values: np.ndarray) -> np.ndarray:
@@ -128,54 +147,77 @@ def _empty_level() -> Tuple[int, int, np.ndarray, np.ndarray]:
     return 0, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
 
 
-def _packed_sort(major: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """Sort ``major`` stably by value, returning the order as positions.
+def _index_dtype(n: int):
+    """The narrowest index dtype for arrays of ``n`` elements."""
+    return np.int32 if n <= _INT32_MAX else np.int64
 
-    Packs ``major[i] << bits | i`` into one integer per element (int32
-    when the packed range fits, int64 otherwise) and value-sorts; the low
-    bits of the sorted keys are the stable order.  Ties broken by
-    position, i.e. exactly a stable argsort, but running on NumPy's fast
-    scalar sort instead of its mergesort-based stable argsort.
+
+def _sorted_packed_keys(major: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """``major[i] << bits | i`` for every element, value-sorted.
+
+    Packs into int32 when ``width << bits`` plus the position fits, int64
+    otherwise.  The low ``bits`` of the sorted keys are the stable sort
+    order of ``major`` (ties broken by position, i.e. exactly a stable
+    argsort, but on NumPy's fast scalar sort instead of its
+    mergesort-based stable argsort); the high bits are the sorted values.
     """
     n = major.size
-    if (int(width) << bits) | (n - 1) <= np.iinfo(np.int32).max:
-        key = (major.astype(np.int32) << np.int32(bits)) | np.arange(
-            n, dtype=np.int32
-        )
-    else:
-        key = (major.astype(np.int64) << np.int64(bits)) | np.arange(
-            n, dtype=np.int64
-        )
+    dtype = (
+        np.int32 if (int(width) << bits) | (n - 1) <= _INT32_MAX
+        else np.int64
+    )
+    key = major.astype(dtype)
+    key <<= dtype(bits)
+    key |= np.arange(n, dtype=dtype)
     key.sort()
-    order = key & ((1 << bits) - 1)
-    return order
+    return key
 
 
-def _prev_occurrence(kept_lines: np.ndarray) -> np.ndarray:
-    """Previous same-line occurrence index (-1 if none), via one key sort."""
+def _prev_occurrence(kept_lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Previous same-line occurrence index (-1 if none), via one key sort.
+
+    Also returns the sort order itself: every index sorted by
+    ``(line, index)``.
+    """
     m = kept_lines.size
+    index = _index_dtype(m)
     bits = int(m - 1).bit_length() if m > 1 else 1
-    max_line = int(kept_lines.max()) if m else 0
-    if (max_line << bits) | (m - 1) <= np.iinfo(np.int32).max:
-        key = (kept_lines.astype(np.int32) << np.int32(bits)) | np.arange(
-            m, dtype=np.int32
-        )
-    else:
-        key = (kept_lines.astype(np.int64) << np.int64(bits)) | np.arange(
-            m, dtype=np.int64
-        )
-    key.sort()
-    idx = (key & ((1 << bits) - 1)).astype(np.int64)
-    sorted_lines = key >> bits
-    prev_idx = np.full(m, -1, dtype=np.int64)
+    key = _sorted_packed_keys(kept_lines, int(kept_lines.max()), bits)
+    order = (key & ((1 << bits) - 1)).astype(index, copy=False)
+    key >>= bits  # the sorted lines
+    prev_idx = np.full(m, -1, dtype=index)
     if m > 1:
-        same = sorted_lines[1:] == sorted_lines[:-1]
-        prev_idx[idx[1:][same]] = idx[:-1][same]
-    return prev_idx
+        same = key[1:] == key[:-1]
+        prev_idx[order[1:][same]] = order[:-1][same]
+    return prev_idx, order
 
 
-#: Interior-chunk rounds between cooperative checkpoints (stage 6a).
-_ROUNDS_PER_CHECK = 8
+_LANES = np.arange(_CHUNK)
+
+
+def _row_counts(
+    work2d: np.ndarray,
+    rows: np.ndarray,
+    thresholds: np.ndarray,
+    lo: Optional[np.ndarray] = None,
+    hi: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per query ``q``: lanes of ``work2d[rows[q]]`` holding a value
+    ``<= thresholds[q]`` (only lanes strictly between ``lo[q]`` and
+    ``hi[q]`` when bounds are given).
+
+    Queries run in batches of :data:`_QUERY_BATCH`, so the gathered
+    ``batch x 32`` block -- not the query count -- bounds the memory.
+    """
+    counts = np.empty(rows.size, dtype=np.int64)
+    for start in range(0, rows.size, _QUERY_BATCH):
+        part = slice(start, start + _QUERY_BATCH)
+        hit = work2d[rows[part]] <= thresholds[part, None]
+        if lo is not None:
+            hit &= _LANES > lo[part, None]
+            hit &= _LANES < hi[part, None]
+        counts[part] = np.count_nonzero(hit, axis=1)
+    return counts
 
 
 def _count_hard_queries(
@@ -184,7 +226,7 @@ def _count_hard_queries(
     hard_gp: np.ndarray,
     hard_p: np.ndarray,
     assoc: int,
-    deadline: Optional[Deadline] = None,
+    checkpoint: Callable[[], None],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """First-in-window counts for the hard queries (stage 6a).
 
@@ -204,70 +246,43 @@ def _count_hard_queries(
     prefix counting.
     """
     m = prev_pos.size
-    num_queries = hard_idx.size
-    counts = np.zeros(num_queries, dtype=np.int64)
     chunk = _CHUNK
     padded = -(-m // chunk) * chunk
     # Keep the working copy (and the query thresholds) in the narrowest
     # dtype that fits: every gather round streams Q x 32 values, so width
     # is bandwidth.  A row-reshaped view turns per-chunk access into one
     # contiguous row gather -- no (Q, 32) index materialization.
-    dtype = np.int32 if m + 2 <= np.iinfo(np.int32).max else np.int64
-    sentinel = dtype(m + 2)
-    work = np.full(padded, sentinel, dtype=dtype)
+    dtype = np.int32 if m + 2 <= _INT32_MAX else np.int64
+    work = np.full(padded, dtype(m + 2), dtype=dtype)
     work[:m] = prev_pos
     work2d = work.reshape(-1, chunk)
-    hp = hard_p.astype(dtype)
+    hp = hard_p.astype(dtype, copy=False)
 
-    first_chunk = (hard_gp >> 5) + 1  # chunks strictly after gp's chunk
+    gp_chunk = hard_gp >> 5
     last_chunk = hard_idx >> 5  # chunk containing the query itself
-    lane = np.arange(chunk, dtype=np.int64)
-
-    same_chunk = (hard_gp >> 5) == last_chunk
-    # Edge handling: when gp and i share one chunk the whole window is a
-    # masked row gather; otherwise count gp's partial chunk and i's
-    # partial chunk, leaving full chunks [first_chunk, last_chunk) to the
-    # rounds loop.
-    shared = np.flatnonzero(same_chunk)
-    if shared.size:
-        rows = work2d[hard_gp[shared] >> 5]
-        gpos = ((hard_gp[shared] >> 5) << 5)[:, None] + lane[None, :]
-        valid = (gpos > hard_gp[shared, None]) & (
-            gpos < hard_idx[shared, None]
-        )
-        counts[shared] = np.sum(
-            (rows <= hp[shared, None]) & valid, axis=1, dtype=np.int64
-        )
+    same_chunk = gp_chunk == last_chunk
+    # Edge handling: gp's chunk counts the lanes after gp -- up to i's
+    # lane when i shares the chunk; otherwise i's chunk adds the lanes
+    # before i, leaving the full chunks in between to the rounds loop.
+    counts = _row_counts(
+        work2d, gp_chunk, hp, hard_gp & 31,
+        np.where(same_chunk, hard_idx & 31, chunk),
+    )
     split = np.flatnonzero(~same_chunk)
     if split.size:
-        rows = work2d[hard_gp[split] >> 5]
-        gpos = ((hard_gp[split] >> 5) << 5)[:, None] + lane[None, :]
-        valid = gpos > hard_gp[split, None]
-        counts[split] = np.sum(
-            (rows <= hp[split, None]) & valid, axis=1, dtype=np.int64
-        )
-        rows = work2d[last_chunk[split]]
-        gpos = (last_chunk[split] << 5)[:, None] + lane[None, :]
-        valid = gpos < hard_idx[split, None]
-        counts[split] += np.sum(
-            (rows <= hp[split, None]) & valid, axis=1, dtype=np.int64
+        counts[split] += _row_counts(
+            work2d, last_chunk[split], hp[split],
+            np.full(split.size, -1), hard_idx[split] & 31,
         )
 
-    mid = np.maximum(last_chunk - first_chunk, 0)
-    mid[same_chunk] = 0
-    cursor = first_chunk.copy()
-    active = np.flatnonzero((mid > 0) & (counts < assoc))
+    cursor = gp_chunk + 1  # chunks strictly after gp's chunk
+    active = np.flatnonzero((cursor < last_chunk) & (counts < assoc))
     for round_index in range(_ROUND_LIMIT):
         if not active.size:
             break
         if round_index % _ROUNDS_PER_CHECK == 0:
-            faults.fire("cm.chunk")
-            _check_deadline(deadline, "cm.chunk")
-        counts[active] += np.sum(
-            work2d[cursor[active]] <= hp[active, None],
-            axis=1,
-            dtype=np.int64,
-        )
+            checkpoint()
+        counts[active] += _row_counts(work2d, cursor[active], hp[active])
         cursor[active] += 1
         still = (cursor[active] < last_chunk[active]) & (
             counts[active] < assoc
@@ -280,7 +295,7 @@ def _prefix_count(
     w: np.ndarray,
     gi: np.ndarray,
     wq: np.ndarray,
-    deadline: Optional[Deadline] = None,
+    checkpoint: Callable[[], None],
 ) -> np.ndarray:
     """``#{ j < gi[q] : w[j] <= wq[q] }`` for every query ``q`` (stage 6b).
 
@@ -294,21 +309,20 @@ def _prefix_count(
     streaming phases, fully-associative levels) from degenerating.
     """
     m = w.size
-    counts = np.zeros(gi.size, dtype=np.int64)
-    lane = np.arange(_CHUNK, dtype=np.int64)
-    base = (gi >> 5) << 5
-    idx = base[:, None] + lane[None, :]
-    valid = idx < gi[:, None]
-    vals = w[np.minimum(idx, m - 1)]
-    counts += np.sum((vals <= wq[:, None]) & valid, axis=1, dtype=np.int64)
-
-    chunks = gi >> 5  # whole 32-chunks in each query's prefix
     sentinel = np.int64(2 * m + 3)
     stride = sentinel + 2
+    padded = -(-m // _CHUNK) * _CHUNK
+    work = np.full(padded, sentinel, dtype=np.int64)
+    work[:m] = w
+    counts = _row_counts(
+        work.reshape(-1, _CHUNK), gi >> 5, wq, np.full(gi.size, -1), gi & 31
+    )
+
+    chunks = gi >> 5  # whole 32-chunks in each query's prefix
     max_chunks = int(chunks.max())
     k = 0
     while (max_chunks >> (3 * k)) > 0:
-        _check_deadline(deadline, "cm.chunk")
+        checkpoint()
         level_units = chunks >> (3 * k)
         digit = level_units & 7
         seg_len = _CHUNK << (3 * k)
@@ -316,26 +330,175 @@ def _prefix_count(
         work = np.full(padded, sentinel, dtype=np.int64)
         work[:m] = w
         level_sorted = np.sort(work.reshape(-1, seg_len), axis=1)
+        del work
         nseg = level_sorted.shape[0]
         flat = (
             level_sorted
             + (np.arange(nseg, dtype=np.int64) * stride)[:, None]
         ).ravel()
+        del level_sorted
         qsel = np.flatnonzero(digit > 0)
-        if qsel.size:
-            d = digit[qsel]
-            first_seg = (level_units[qsel] >> 3) << 3
-            total = int(d.sum())
-            starts = np.cumsum(d) - d
-            qq = np.repeat(qsel, d)
+        for start in range(0, qsel.size, _QUERY_BATCH):
+            q = qsel[start:start + _QUERY_BATCH]
+            d = digit[q]
+            first_seg = (level_units[q] >> 3) << 3
+            ends = np.cumsum(d)
+            starts = ends - d
+            qq = np.repeat(q, d)
             sidx = first_seg.repeat(d) + (
-                np.arange(total, dtype=np.int64) - starts.repeat(d)
+                np.arange(int(ends[-1]), dtype=np.int64) - starts.repeat(d)
             )
             found = np.searchsorted(flat, sidx * stride + wq[qq], "right")
             found -= sidx * seg_len
-            counts[qsel] += np.add.reduceat(found, starts)
+            counts[q] += np.add.reduceat(found, starts)
         k += 1
     return counts
+
+
+class MissClassification(NamedTuple):
+    """Which accesses of one LRU level miss, in per-set grouped order.
+
+    Stage 1 groups the stream per cache set (program order inside a
+    set); stage 2 collapses each run of the same line inside a set to
+    its first access, the *run head* -- every collapsed access hits.
+    """
+
+    #: Grouped position -> program position (``None``: one set, identity).
+    times: Optional[np.ndarray]
+    #: Grouped position of every run head.
+    kept_idx: np.ndarray
+    #: Line of every run head.
+    kept_lines: np.ndarray
+    #: Run heads sorted by ``(line, time)``.
+    line_order: np.ndarray
+    #: Per run head: the access misses.
+    missed: np.ndarray
+    #: First-ever touches of a line (the cold part of ``missed``).
+    cold: int
+
+
+def classify_misses(
+    lines: np.ndarray,
+    config: CacheLevelConfig,
+    checkpoint: Callable[[], None] = _no_checkpoint,
+) -> MissClassification:
+    """Stages 1-6 of the cascade over one non-empty level stream.
+
+    ``lines`` is a contiguous int64 array; ``checkpoint`` runs at the
+    cascade's cooperative interruption points (stage boundaries and
+    every few counting rounds).  Index arrays are int32 whenever the
+    stream fits, and every transient is released as soon as the next
+    stage has what it needs: this is the peak memory of both the model
+    and the simulator.
+    """
+    n = lines.size
+    index = _index_dtype(n)
+    num_sets = config.num_sets
+    assoc = config.associativity
+
+    # Stage 1: group the stream per cache set (program order kept).
+    new_block = np.zeros(n, dtype=bool)
+    new_block[0] = True
+    if num_sets > 1:
+        bits = int(n - 1).bit_length() if n > 1 else 1
+        key = _sorted_packed_keys(lines % num_sets, num_sets - 1, bits)
+        times = (key & ((1 << bits) - 1)).astype(index, copy=False)
+        key >>= bits  # the set of every grouped access
+        np.not_equal(key[1:], key[:-1], out=new_block[1:])
+        del key
+        grouped = lines[times]
+    else:
+        times = None
+        grouped = lines
+
+    # Stage 2: collapse runs of the same line inside a set (distance 0).
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=keep[1:])
+    keep |= new_block
+    kept_idx = np.flatnonzero(keep).astype(index, copy=False)
+    del keep
+    kept_lines = grouped[kept_idx]
+    del grouped
+    kept_new_block = new_block[kept_idx]
+    del new_block
+    m = kept_idx.size
+    block_start = np.flatnonzero(kept_new_block).astype(index, copy=False)[
+        np.cumsum(kept_new_block, dtype=index) - 1
+    ]
+    del kept_new_block
+    pos = np.arange(m, dtype=index) - block_start
+
+    # Stage 3: previous occurrence (a line's set never changes, so the
+    # previous occurrence always lies in the same block).
+    checkpoint()
+    prev_idx, line_order = _prev_occurrence(kept_lines)
+    cold_mask = prev_idx < 0
+    cold = int(np.count_nonzero(cold_mask))
+    prev_pos = np.where(cold_mask, index(-1), pos[prev_idx])
+
+    # Conflict-free shortcut: if every set's distinct-line population fits
+    # its ways, no reuse distance can reach the associativity.
+    distinct_per_set = np.bincount(
+        kept_lines[cold_mask] % num_sets, minlength=1
+    )
+    if int(distinct_per_set.max()) <= assoc:
+        return MissClassification(
+            times, kept_idx, kept_lines, line_order, cold_mask, cold
+        )
+
+    # Stage 4: short windows are guaranteed hits.
+    undecided = np.flatnonzero((~cold_mask) & (pos - prev_pos > assoc))
+    del pos
+
+    # Stage 5: enough cold accesses inside the window confirm a miss
+    # (every cold access is first-in-window wherever it appears).
+    cum_cold = np.cumsum(cold_mask, dtype=index)
+    und_gp = prev_idx[undecided]
+    confirmed = cum_cold[undecided - 1] - cum_cold[und_gp] >= assoc
+    del cum_cold, und_gp
+    hard = undecided[~confirmed]
+
+    missed = cold_mask
+    missed[undecided[confirmed]] = True
+    del undecided, confirmed
+    if hard.size:
+        # Stage 6: count first-in-window elements of the hard windows.
+        checkpoint()
+        hard_gp = prev_idx[hard]
+        hard_p = prev_pos[hard]
+        counts = np.zeros(hard.size, dtype=np.int64)
+        # Route very wide windows straight to prefix counting; scan the
+        # rest chunk-by-chunk (with early termination), escalating
+        # whatever survives the round limit.
+        interior = (hard >> 5) - (hard_gp >> 5) - 1
+        narrow = np.flatnonzero(interior <= _PREFIX_DIRECT)
+        to_prefix = np.flatnonzero(interior > _PREFIX_DIRECT)
+        del interior
+        if narrow.size:
+            narrow_counts, pending = _count_hard_queries(
+                prev_pos, hard[narrow], hard_gp[narrow], hard_p[narrow],
+                assoc, checkpoint,
+            )
+            counts[narrow] = narrow_counts
+            if pending.size:
+                to_prefix = np.concatenate((to_prefix, narrow[pending]))
+        if to_prefix.size:
+            # Count over the whole prefix instead.  With
+            # w(j) = block_start(j) + prev_pos(j) + 1 every in-block
+            # element before the window start qualifies trivially and
+            # cross-block elements contribute exactly block_start(i),
+            # so distance(i) = #{j < i : w(j) <= w(i)} - w(i).
+            w = block_start + prev_pos + 1
+            wq = block_start[hard[to_prefix]] + hard_p[to_prefix] + 1
+            counts[to_prefix] = (
+                _prefix_count(w, hard[to_prefix], wq, checkpoint=checkpoint)
+                - wq
+            )
+        missed[hard[counts >= assoc]] = True
+    return MissClassification(
+        times, kept_idx, kept_lines, line_order, missed, cold
+    )
 
 
 def model_level(
@@ -358,117 +521,20 @@ def model_level(
     n = lines.size
     if n == 0:
         return _empty_level()
-    num_sets = config.num_sets
-    assoc = config.associativity
 
-    # Stage 1: group the stream per cache set (program order kept).
-    if num_sets > 1:
-        bits = int(n - 1).bit_length() if n > 1 else 1
-        times = _packed_sort(lines % num_sets, num_sets - 1, bits)
-        grouped = lines[times]
-        grouped_sets = grouped % num_sets
-        new_block = np.empty(n, dtype=bool)
-        new_block[0] = True
-        np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=new_block[1:])
-    else:
-        times = None
-        grouped = lines
-        new_block = np.zeros(n, dtype=bool)
-        new_block[0] = True
+    def checkpoint() -> None:
+        faults.fire("cm.chunk")
+        _check_deadline(deadline, "cm.chunk")
 
-    # Stage 2: collapse runs of the same line inside a set (distance 0).
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=keep[1:])
-    keep |= new_block
-    kept_idx = np.flatnonzero(keep)
-    kept_lines = grouped[kept_idx]
-    m = kept_idx.size
-
-    kept_new_block = new_block[kept_idx]
-    block_id = np.cumsum(kept_new_block) - 1
-    block_start = np.flatnonzero(kept_new_block)[block_id]
-    pos = np.arange(m, dtype=np.int64) - block_start
-
-    # Stage 3: previous occurrence (a line's set never changes, so the
-    # previous occurrence always lies in the same block).
-    faults.fire("cm.chunk")
-    _check_deadline(deadline, "cm.chunk")
-    prev_idx = _prev_occurrence(kept_lines)
-    cold_mask = prev_idx < 0
-    cold = int(cold_mask.sum())
-    prev_pos = np.where(cold_mask, np.int64(-1), pos[prev_idx])
-
-    # Conflict-free shortcut: if every set's distinct-line population fits
-    # its ways, no reuse distance can reach the associativity.
-    distinct_per_set = np.bincount(
-        kept_lines[cold_mask] % num_sets, minlength=1
-    )
-    if int(distinct_per_set.max()) <= assoc:
-        miss_kept = cold_mask
-        cap_conflict = 0
-    else:
-        # Stage 4: short windows are guaranteed hits.
-        window = pos - prev_pos - 1
-        undecided = np.flatnonzero((~cold_mask) & (window >= assoc))
-
-        # Stage 5: enough cold accesses inside the window confirm a miss
-        # (every cold access is first-in-window wherever it appears).
-        cum_cold = np.cumsum(cold_mask)
-        und_gp = prev_idx[undecided]
-        colds_inside = cum_cold[undecided - 1] - cum_cold[und_gp]
-        confirmed = colds_inside >= assoc
-        hard = undecided[~confirmed]
-
-        miss_kept = cold_mask.copy()
-        miss_kept[undecided[confirmed]] = True
-        if hard.size:
-            faults.fire("cm.chunk")
-            _check_deadline(deadline, "cm.chunk")
-            hard_gp = prev_idx[hard]
-            hard_p = prev_pos[hard]
-            counts = np.zeros(hard.size, dtype=np.int64)
-            # Route very wide windows straight to prefix counting; scan
-            # the rest chunk-by-chunk (with early termination), escalating
-            # whatever survives the round limit.
-            interior = (hard >> 5) - (hard_gp >> 5) - 1
-            narrow = np.flatnonzero(interior <= _PREFIX_DIRECT)
-            to_prefix = np.flatnonzero(interior > _PREFIX_DIRECT)
-            if narrow.size:
-                narrow_counts, pending = _count_hard_queries(
-                    prev_pos,
-                    hard[narrow],
-                    hard_gp[narrow],
-                    hard_p[narrow],
-                    assoc,
-                    deadline=deadline,
-                )
-                counts[narrow] = narrow_counts
-                if pending.size:
-                    to_prefix = np.concatenate((to_prefix, narrow[pending]))
-            if to_prefix.size:
-                # Count over the whole prefix instead.  With
-                # w(j) = block_start(j) + prev_pos(j) + 1 every in-block
-                # element before the window start qualifies trivially and
-                # cross-block elements contribute exactly block_start(i),
-                # so distance(i) = #{j < i : w(j) <= w(i)} - w(i).
-                w = block_start + prev_pos + 1
-                wq = (
-                    block_start[hard[to_prefix]] + hard_p[to_prefix] + 1
-                )
-                counts[to_prefix] = (
-                    _prefix_count(w, hard[to_prefix], wq, deadline=deadline)
-                    - wq
-                )
-            miss_kept[hard[counts >= assoc]] = True
-        cap_conflict = int(miss_kept.sum()) - cold
+    stages = classify_misses(lines, config, checkpoint)
+    cold = stages.cold
+    cap_conflict = int(np.count_nonzero(stages.missed)) - cold
 
     # Scatter misses back to program order (collapsed accesses never miss).
     missed = np.zeros(n, dtype=bool)
-    if times is not None:
-        missed[times[kept_idx[miss_kept]]] = True
-    else:
-        missed[kept_idx[miss_kept]] = True
+    heads = stages.kept_idx[stages.missed]
+    missed[heads if stages.times is None else stages.times[heads]] = True
+    del stages, heads
 
     # Write-through next-level stream: fetch (read) per miss, then the
     # forwarded write for stores, in access order.

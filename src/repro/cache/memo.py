@@ -8,7 +8,8 @@ This module gives those call sites content-addressed reuse:
   result depends on: the printed IR of the traced ops (which covers buffer
   shapes, dtypes and module params), the cache hierarchy geometry, the
   thread count, the parallel flag, the engine, and the trace budget.
-* :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`.
+* :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`;
+  :func:`lookup_trace` reads that LRU without generating or inserting.
 * :func:`memoized_cm` -- in-process LRU over the full trace+CM evaluation,
   plus an optional on-disk layer (JSON per fingerprint) so results survive
   across processes; point it at a directory via ``memo_dir=`` or
@@ -210,6 +211,20 @@ def memoized_trace(
     )
     _trace_lru.put(key, trace)
     return trace
+
+
+def lookup_trace(
+    module: Module, ops: Optional[Sequence[Op]] = None
+) -> Optional[AccessTrace]:
+    """The full-budget trace :func:`memoized_trace` holds, or None.
+
+    A pure lookup: it never generates a trace and never inserts one, so
+    a caller that only wants to reuse a trace somebody else built (the
+    hardware side after the CM stage) cannot pin traces in the LRU.
+    """
+    if not memo_enabled():
+        return None
+    return _trace_lru.get(trace_fingerprint(module, ops))
 
 
 def _cm_to_payload(cm: CacheModelResult) -> dict:

@@ -7,6 +7,11 @@ evictions become writebacks.  DRAM traffic is LLC fetches + LLC writebacks.
 This simulator provides the ground truth that the simulated platforms
 expose through PAPI-like counters; PolyUFC-CM (:mod:`repro.cache.
 static_model`) is the *model* being evaluated against it.
+
+:func:`simulate_hierarchy` works on whole arrays, on the miss
+classification stages of :mod:`repro.cache.fast_model`;
+:func:`reference_simulate_hierarchy` is the same simulator one access at
+a time in Python lists, kept as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
+from repro.cache.fast_model import classify_misses
 from repro.cache.trace import AccessTrace
 
 
@@ -84,11 +90,127 @@ class CacheSimResult:
 
 
 def _simulate_level(
+    lines: np.ndarray,
+    writes: np.ndarray,
+    config: CacheLevelConfig,
+) -> Tuple[int, int, int, np.ndarray, np.ndarray]:
+    """Simulate one write-back LRU level on whole arrays.
+
+    Returns ``(hits, misses, writebacks, next_lines, next_writes)``: the
+    filtered stream the next level observes -- at every miss, in program
+    order, the fetch (a read) and then the dirty victim it evicts (a
+    write).  Bit-for-bit the stream and counters of
+    :func:`_reference_level`.
+
+    Hits and misses come from the shared classification stages of
+    :mod:`repro.cache.fast_model` (write-back changes which lines are
+    written back, never which accesses hit).  The rest rests on one
+    identity: inside a set, LRU evicts residencies in the order of their
+    final touches, so the ``k``-th miss of a set (``k >= assoc``) evicts
+    the residency with the ``(k - assoc)``-th earliest final touch there.
+    A *residency* runs from a miss of a line to the last touch before
+    the line's next miss; it is dirty iff a write falls inside it, and
+    every dirty residency is written back exactly once -- when evicted
+    or at the end-of-kernel flush.
+    """
+    n = lines.size
+    if n == 0:
+        return 0, 0, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    times, kept_idx, kept_lines, order, missed, _cold = classify_misses(
+        lines, config
+    )
+    m = kept_idx.size
+
+    # Per run head: does the collapsed run write?
+    run_writes = np.logical_or.reduceat(
+        writes if times is None else writes[times], kept_idx
+    )
+    # In (line, time) order each miss opens a residency, which ends right
+    # before the next one; the first head of every line is a cold miss.
+    opens = np.flatnonzero(missed[order])
+    dirty = np.logical_or.reduceat(run_writes[order], opens)
+    del run_writes
+    ends = np.empty_like(opens)
+    ends[:-1] = opens[1:] - 1
+    ends[-1] = m - 1
+    # Residencies by final touch: run-head positions are set-major, so a
+    # scatter + flatnonzero is the per-set sort (1 = clean, 2 = dirty).
+    final = np.zeros(m, dtype=np.int8)
+    final[order[ends]] = 1 + dirty
+    del order, opens, ends
+    finals = np.flatnonzero(final)
+    final_dirty = final[finals] == 2
+    del final
+    final_lines = kept_lines[finals]
+
+    # Misses (= residencies by start), set-major and in program order per
+    # set; the same per-set counts as ``finals``, so the k-th miss of a
+    # set sits exactly ``assoc`` places after the residency it evicts.
+    fetches = np.flatnonzero(missed)
+    misses = fetches.size
+    writebacks = int(np.count_nonzero(final_dirty))
+    sets = kept_lines[fetches] % config.num_sets
+    head = np.empty(misses, dtype=bool)
+    head[0] = True
+    np.not_equal(sets[1:], sets[:-1], out=head[1:])
+    rank = np.arange(misses)
+    rank -= np.maximum.accumulate(np.where(head, rank, 0))
+    evicting = np.flatnonzero(rank >= config.associativity)
+    victims = evicting - config.associativity
+    spills = final_dirty[victims]
+    victim_lines = final_lines[victims[spills]]
+    del final_dirty, final_lines, victims
+    # Program position of every miss, and of the misses that spill.
+    fetch_times = kept_idx[fetches]
+    if times is not None:
+        fetch_times = times[fetch_times]
+    spill_times = fetch_times[evicting[spills]]
+    del times, kept_idx, kept_lines, missed
+
+    # Next-level stream: 1 = fetch only, 2 = fetch then writeback.
+    emit = np.zeros(n, dtype=np.int8)
+    emit[fetch_times] = 1
+    emit[spill_times] = 2
+    del fetch_times
+    at = np.flatnonzero(emit)
+    emit = emit[at]
+    slot = np.cumsum(emit, dtype=np.int64)
+    slot -= emit
+    next_lines = np.empty(misses + victim_lines.size, dtype=np.int64)
+    next_writes = np.zeros(next_lines.size, dtype=bool)
+    next_lines[slot] = lines[at]
+    spill_slots = slot[emit == 2] + 1
+    next_lines[spill_slots] = victim_lines[np.argsort(spill_times)]
+    next_writes[spill_slots] = True
+    return n - misses, misses, writebacks, next_lines, next_writes
+
+
+def simulate_hierarchy(
+    trace: AccessTrace, hierarchy: CacheHierarchy
+) -> CacheSimResult:
+    """Run the trace through every level of the hierarchy."""
+    lines = np.ascontiguousarray(
+        trace.line_ids(hierarchy.line_bytes), dtype=np.int64
+    )
+    writes = np.ascontiguousarray(trace.is_write, dtype=bool)
+    stats: List[LevelStats] = []
+    for config in hierarchy.levels:
+        accesses = int(lines.size)
+        hits, misses, writebacks, lines, writes = _simulate_level(
+            lines, writes, config
+        )
+        stats.append(
+            LevelStats(config.name, accesses, hits, misses, writebacks)
+        )
+    return CacheSimResult(tuple(stats), hierarchy.line_bytes, len(trace))
+
+
+def _reference_level(
     lines: List[int],
     writes: List[bool],
     config: CacheLevelConfig,
 ) -> Tuple[int, int, int, List[int], List[bool]]:
-    """Simulate one write-back LRU level.
+    """One write-back LRU level, one access at a time (the reference).
 
     Returns (hits, misses, writebacks, next_lines, next_writes): the filtered
     stream the next level observes (fetch reads + writeback writes).
@@ -139,17 +261,21 @@ def _simulate_level(
     return hits, misses, writebacks, next_lines, next_writes
 
 
-def simulate_hierarchy(
+def reference_simulate_hierarchy(
     trace: AccessTrace, hierarchy: CacheHierarchy
 ) -> CacheSimResult:
-    """Run the trace through every level of the hierarchy."""
+    """:func:`simulate_hierarchy` one access at a time in Python lists.
+
+    The oracle the vectorized simulator is checked against (tests and
+    the :mod:`repro.verify` differential fuzzer); never on a hot path.
+    """
     line_ids = trace.line_ids(hierarchy.line_bytes)
     lines: List[int] = line_ids.tolist()
     writes: List[bool] = trace.is_write.tolist()
     stats: List[LevelStats] = []
     for config in hierarchy.levels:
         accesses = len(lines)
-        hits, misses, writebacks, lines, writes = _simulate_level(
+        hits, misses, writebacks, lines, writes = _reference_level(
             lines, writes, config
         )
         stats.append(

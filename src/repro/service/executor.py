@@ -8,7 +8,8 @@ ladder under the job's deadline) and attaches the hardware-side workload
 (exact cache-simulator counters), reusing the store's content-addressed
 workload objects when jobs differ only in objective / epsilon / overhead
 / engine -- the simulator never sees those knobs, so the counters are
-shared by construction.
+shared by construction.  The simulator runs on the trace the CM stage
+left in the in-process trace memo when it is still there.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro.benchsuite import get_benchmark
+from repro.cache.memo import lookup_trace
 from repro.cache.parametric_model import (
     FamilyFitError,
     ParametricCharacterization,
@@ -41,6 +43,12 @@ def _hardware_rows(
 ) -> Tuple[List[dict], List[Optional[str]], bool]:
     """Exact-simulator counters per unit: (rows, warnings, cacheable).
 
+    Each unit is simulated on the trace the CM stage memoized for the
+    same ``(module, ops)`` when the memo still holds it, and on a freshly
+    generated one otherwise.  The lookup never inserts: a unit the CM
+    served without a trace (symbolic, family charts) must not pin its
+    trace in the memo.
+
     A unit whose CM side degraded to ``timeout-cap`` is not simulated
     (the exact trace it needs is exactly what timed out) and a unit
     whose simulation fails gets zero counters plus a warning -- in both
@@ -63,7 +71,9 @@ def _hardware_rows(
             cacheable = False
         else:
             try:
-                trace = generate_trace(result.tiled_module, unit.ops)
+                trace = lookup_trace(result.tiled_module, unit.ops)
+                if trace is None:
+                    trace = generate_trace(result.tiled_module, unit.ops)
                 sim = simulate_hierarchy(trace, plat.hierarchy)
             except DEGRADABLE_ERRORS as exc:
                 log.warning(

@@ -19,6 +19,9 @@ and runs the full check battery:
 * the hardware simulator agrees on access counts at level 0 and can
   never miss fewer times than the model's cold misses (every first
   touch of a line misses an empty cache).
+* the vectorized hardware simulator equals its per-access reference
+  loop -- per level ``(name, accesses, misses, writebacks)`` -- on the
+  case's hierarchy and on its fully-associative variant.
 
 **Metamorphic** (properties that hold for *any* kernel in the class):
 
@@ -54,6 +57,7 @@ from repro.cache import (
     simulate_hierarchy,
     symbolic_cm,
 )
+from repro.cache.simulator import reference_simulate_hierarchy
 from repro.cache.static_model import CacheModelResult, LevelCounters
 from repro.runtime import Deadline
 from repro.verify.generator import (
@@ -300,6 +304,31 @@ def run_case(spec: KernelSpec) -> CaseResult:
                 f"model's cold misses ({model_l0.cold_misses})",
             )
         )
+
+    # --- differential: vectorized simulator vs the reference loop --------
+    result.checks_run.append("simulator-diff")
+    for kind, geometry in (
+        ("SA", hierarchy), ("FA", hierarchy.fully_associative()),
+    ):
+        fast_levels = (
+            sim if geometry is hierarchy
+            else simulate_hierarchy(trace, geometry)
+        ).counters()
+        reference_levels = reference_simulate_hierarchy(
+            trace, geometry
+        ).counters()
+        for fast_level, reference_level in zip(
+            fast_levels, reference_levels
+        ):
+            if fast_level != reference_level:
+                result.disagreements.append(
+                    Disagreement(
+                        "simulator-diff",
+                        f"{kind} level {reference_level[0]}: "
+                        f"reference={reference_level} "
+                        f"vectorized={fast_level}",
+                    )
+                )
 
     # --- metamorphic properties (fast engine; engine-diff above makes
     # --- the choice of engine immaterial) ---------------------------------

@@ -1,4 +1,9 @@
-"""Unit tests for the hardware cache simulator."""
+"""Unit tests for the hardware cache simulator.
+
+The vectorized simulator must be bit-for-bit the per-access reference
+loop: the same hits, misses and writebacks at every level *and* the same
+next-level stream (fetches and dirty victims) in the same order.
+"""
 
 import numpy as np
 import pytest
@@ -7,9 +12,18 @@ from repro.cache import (
     AccessTrace,
     CacheHierarchy,
     CacheLevelConfig,
+    generate_trace,
     simulate_hierarchy,
 )
+from repro.cache import fast_model
+from repro.cache.simulator import (
+    _reference_level,
+    _simulate_level,
+    reference_simulate_hierarchy,
+)
+from repro.hw.platform import get_platform
 from repro.ir.core import Buffer, F64
+from tests.cache.test_engine_agreement import ALL_BENCHMARKS, _build
 
 
 def synthetic_trace(offsets, writes=None, element_bytes=8, buffer_len=None):
@@ -157,3 +171,118 @@ class TestHierarchy:
         trace = synthetic_trace(offsets)
         sim = simulate_hierarchy(trace, hier)
         assert sim.levels[1].misses > hier.levels[1].num_lines
+
+
+def level_config(num_sets, assoc, line=64):
+    return CacheLevelConfig("T", num_sets * assoc * line, line, assoc)
+
+
+def assert_level_matches(lines, writes, config):
+    """Vectorized and reference levels agree on counters and stream."""
+    lines = np.asarray(lines, dtype=np.int64)
+    writes = np.asarray(writes, dtype=bool)
+    ref_hits, ref_misses, ref_wb, ref_lines, ref_writes = _reference_level(
+        lines.tolist(), writes.tolist(), config
+    )
+    hits, misses, writebacks, next_lines, next_writes = _simulate_level(
+        lines, writes, config
+    )
+    assert (hits, misses, writebacks) == (ref_hits, ref_misses, ref_wb)
+    assert all(type(c) is int for c in (hits, misses, writebacks))
+    assert next_lines.tolist() == ref_lines
+    assert next_writes.tolist() == ref_writes
+
+
+class TestVectorizedLevel:
+    @pytest.mark.parametrize("assoc", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("num_sets", [1, 2, 4, 8])
+    def test_random_streams(self, num_sets, assoc):
+        rng = np.random.default_rng(num_sets * 10 + assoc)
+        config = level_config(num_sets, assoc)
+        for _ in range(30):
+            n = int(rng.integers(1, 400))
+            span = int(rng.integers(1, 80))
+            lines = rng.integers(0, span, n)
+            writes = rng.random(n) < rng.random()
+            assert_level_matches(lines, writes, config)
+
+    def test_empty_stream(self):
+        assert_level_matches([], [], level_config(2, 2))
+
+    def test_dirty_victims_follow_their_fetch(self):
+        # One 1-way set: every miss after the first evicts the previous
+        # line; stores make every victim dirty.
+        assert_level_matches(
+            [0, 1, 2, 1, 0], [True, True, False, False, True],
+            level_config(1, 1),
+        )
+
+    def test_huge_windows_reach_prefix_counting(self, monkeypatch):
+        # Three passes over far more lines than ways: the third pass's
+        # reuse windows are too wide for the chunk rounds.
+        calls = []
+        original = fast_model._prefix_count
+
+        def counting_prefix(w, gi, wq, **kwargs):
+            calls.append(gi.size)
+            return original(w, gi, wq, **kwargs)
+
+        monkeypatch.setattr(fast_model, "_prefix_count", counting_prefix)
+        distinct = (fast_model._PREFIX_DIRECT + 4) * fast_model._CHUNK
+        lines = np.tile(np.arange(distinct, dtype=np.int64), 3)
+        writes = np.random.default_rng(5).random(lines.size) < 0.25
+        assert_level_matches(lines, writes, level_config(1, 4))
+        assert calls, "expected the huge windows to reach prefix counting"
+
+    def test_hard_queries_span_several_batches(self):
+        # Cycling slightly more lines than ways with random stores: every
+        # reuse is a hard query, many more than one gather batch.
+        lines = np.tile(np.arange(40, dtype=np.int64), 400)
+        writes = np.random.default_rng(9).random(lines.size) < 0.3
+        assert lines.size > 2 * fast_model._QUERY_BATCH
+        assert_level_matches(lines, writes, level_config(1, 36))
+
+
+class TestVectorizedHierarchy:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_multilevel_traces(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(50, 3000))
+        offsets = rng.integers(0, int(rng.integers(64, 4096)), n)
+        writes = rng.random(n) < rng.random()
+        trace = synthetic_trace(offsets, writes)
+        hier = small_hierarchy(
+            l1_lines=int(rng.choice([2, 4, 8])),
+            assoc=int(rng.choice([1, 2])),
+            levels=int(rng.integers(1, 4)),
+        )
+        assert (
+            simulate_hierarchy(trace, hier).counters()
+            == reference_simulate_hierarchy(trace, hier).counters()
+        )
+
+
+class TestRegistryKernels:
+    """Every registered kernel, small sizes, through the real platforms
+    (plus a tiny hierarchy where the small working sets do evict)."""
+
+    TINY = CacheHierarchy(
+        (
+            CacheLevelConfig("L1", 8 * 64 * 2, 64, 2),
+            CacheLevelConfig("L2", 32 * 64 * 4, 64, 4),
+            CacheLevelConfig("L3", 128 * 64 * 8, 64, 8),
+        )
+    )
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_matches_reference(self, name):
+        trace = generate_trace(_build(name))
+        for hierarchy in (
+            get_platform("rpl").hierarchy,
+            get_platform("bdw").hierarchy,
+            self.TINY,
+        ):
+            assert (
+                simulate_hierarchy(trace, hierarchy).counters()
+                == reference_simulate_hierarchy(trace, hierarchy).counters()
+            ), name

@@ -48,7 +48,12 @@ FAST = FederationPolicy(
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     store = tmp_path_factory.mktemp("fed_remote") / "store"
-    server = make_server("127.0.0.1", 0, store=str(store))
+    # Module-scoped, so built before the per-test thread pin applies:
+    # name the backend, or multi-core hosts get the fork pool and the
+    # tests' monkeypatches never reach the workers.
+    server = make_server(
+        "127.0.0.1", 0, store=str(store), executor="thread"
+    )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"

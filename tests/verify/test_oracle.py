@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.cache import clear_memo
+from repro.cache.simulator import CacheSimResult, LevelStats
 from repro.verify import generate_spec, run_case
 from repro.verify.oracle import (
     VERDICT_BALANCE_FPB,
@@ -35,11 +36,37 @@ def test_all_checks_run_on_every_case():
         "memo-note",
         "degradation-noop",
         "simulator-invariants",
+        "simulator-diff",
         "capacity-monotonic",
         "associativity-monotonic",
         "cold-invariance",
         "rename-invariance",
     }
+
+
+def test_simulator_arm_trips_on_a_drifting_simulator(monkeypatch):
+    from repro.verify import oracle
+
+    honest = oracle.simulate_hierarchy
+
+    def one_writeback_too_many(trace, hierarchy):
+        sim = honest(trace, hierarchy)
+        first, *rest = sim.levels
+        drifted = LevelStats(
+            first.name, first.accesses, first.hits, first.misses,
+            first.writebacks + 1,
+        )
+        return CacheSimResult(
+            (drifted, *rest), sim.line_bytes, sim.total_accesses
+        )
+
+    monkeypatch.setattr(oracle, "simulate_hierarchy", one_writeback_too_many)
+    result = run_case(generate_spec(0, 0))
+    checks = {d.check for d in result.disagreements}
+    assert checks == {"simulator-diff"}
+    details = [d.detail for d in result.disagreements]
+    assert any(d.startswith("SA level ") for d in details)
+    assert any(d.startswith("FA level ") for d in details)
 
 
 def test_symbolic_supportedness_is_recorded():
