@@ -4,9 +4,9 @@ Drives a live ``ServiceClient`` with a randomized mixed batch (repeats,
 objective variants, both platforms' cheap kernels) for a bounded wall
 time, optionally with faults armed via ``REPRO_FAULTS`` (the CI service
 job arms ``report.write:io:2``; the multi-core job additionally soaks
-the process pool).  The full lifecycle event stream is written to a
-JSONL file (uploaded as a CI artifact on failure), and the run fails if
-any invariant breaks:
+the process pool under a live admission bound).  The full lifecycle
+event stream is written to a JSONL file (uploaded as a CI artifact on
+failure), and the run fails if any invariant breaks:
 
 * every admitted job reaches a terminal state before the deadline;
 * every computed report is exact or visibly degraded (never silently
@@ -33,7 +33,7 @@ Usage::
 
     PYTHONPATH=src python scripts/service_soak.py \
         --requests 50 --timeout-s 30 --events service-events.jsonl \
-        --executor process --workers 2 --shards 2
+        --executor process --workers 2 --max-pending 16
 
     REPRO_FAULTS="service.remote:droppedconn:0.15" \
     PYTHONPATH=src python scripts/service_soak.py \
@@ -279,15 +279,13 @@ def main(argv=None):
     )
     parser.add_argument(
         "--executor", choices=("thread", "process"), default=None,
-        help="execution backend (default: REPRO_SERVICE_EXECUTOR / auto)",
+        help="execution backend (default: REPRO_SERVICE_EXECUTOR, "
+        "else thread)",
     )
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--shards", type=int, default=None,
-                        help="scheduler shard count")
-    parser.add_argument("--store-shards", type=int, default=None)
     parser.add_argument(
         "--max-pending", type=int, default=None,
-        help="per-shard soft bound; beyond it new jobs shed",
+        help="soft queue bound; beyond it new jobs shed",
     )
     parser.add_argument("--client-quota", type=int, default=None)
     parser.add_argument(
@@ -344,7 +342,6 @@ def main(argv=None):
         with ServiceClient(
             store=store_dir, sink=sink,
             executor=args.executor, workers=args.workers,
-            shards=args.shards, store_shards=args.store_shards,
             max_pending=args.max_pending,
             client_quota=args.client_quota,
             shard_map=shard_map,
@@ -388,7 +385,7 @@ def main(argv=None):
             elapsed = time.perf_counter() - started
             counts = dict(memory.counts())
 
-            store = resolve_store(store_dir, shards=args.store_shards)
+            store = resolve_store(store_dir)
             for row in store.query():
                 report = store.get_report(row["digest"])
                 if report is not None and not report.fully_exact:

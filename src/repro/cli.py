@@ -167,22 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--executor", default=None, choices=["thread", "process"],
         help="execution backend (default: $REPRO_SERVICE_EXECUTOR, "
-        "else process on multi-core hosts, thread on single-core)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="scheduler shard count (default: $REPRO_SERVICE_SHARDS "
-        "or the pool width)",
-    )
-    serve.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help="result-store shard directories (default: "
-        "$REPRO_STORE_SHARDS or 1, the unsharded layout)",
+        "else thread)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
-        help="per-shard queue depth beyond which new jobs are shed to "
-        "the timeout-cap rung (default: unbounded)",
+        help="queue depth beyond which new jobs are shed to the "
+        "timeout-cap rung (default: unbounded)",
     )
     serve.add_argument(
         "--client-quota", type=int, default=None, metavar="N",
@@ -192,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-map", default=None, metavar="PATH_OR_JSON",
         help="cross-host shard map: a JSON file (or inline JSON) whose "
         "'shards' list assigns each slot to 'local' or a remote "
-        "http(s) endpoint (default: $REPRO_SHARD_MAP; overrides "
-        "--shards; see docs/SERVICE.md \"Cross-host deployment\")",
+        "http(s) endpoint; jobs are forwarded one by one over /v1/jobs "
+        "(default: $REPRO_SHARD_MAP; see docs/SERVICE.md \"Cross-host "
+        "deployment\")",
     )
     serve.add_argument(
         "--once", action="store_true",
@@ -534,8 +525,6 @@ def _cmd_serve(args) -> int:
         store=args.store,
         workers=args.workers,
         executor=args.executor,
-        shards=args.shards,
-        store_shards=args.store_shards,
         max_pending=args.max_pending,
         client_quota=args.client_quota,
         shard_map=args.shard_map,

@@ -6,21 +6,21 @@ entrypoint shares (see ``docs/SERVICE.md``):
 
 * :mod:`repro.service.spec` -- :class:`JobSpec` and the canonical
   content digests (kernel, platform, objective, epsilon, engine, model
-  versions) that key the store, plus the consistent digest -> shard
-  routing (:func:`shard_for`).
+  versions) that key the store, plus the consistent digest -> shard-map
+  slot routing (:func:`shard_for`).
 * :mod:`repro.service.store` -- the hardened, content-addressed
   :class:`ResultStore` (reports + shared hardware workloads + queryable
-  index) and its digest-sharded variant :class:`ShardedResultStore`.
+  index).
 * :mod:`repro.service.executor` -- the single compute path from a spec
   to a :class:`~repro.mlpolyufc.reports.KernelReport`.
 * :mod:`repro.service.pool` -- the pluggable execution backends: the
-  ``process`` pool (real multi-core scaling; spec/report JSON is the
-  wire format) and the inline ``thread`` path
-  (``REPRO_SERVICE_EXECUTOR`` selects).
+  inline ``thread`` path (the default) and the ``process`` pool
+  (spec/report JSON is the wire format); ``REPRO_SERVICE_EXECUTOR``
+  selects.
 * :mod:`repro.service.scheduler` -- async batch :class:`Scheduler` with
-  consistent-hash shard routing, in-flight dedup, admission control
-  (bounded shard queues, load shedding, per-client quotas), per-job
-  deadlines and the structured lifecycle event stream.
+  in-flight dedup, admission control (a bounded queue, load shedding,
+  per-client quotas), per-job deadlines and the structured lifecycle
+  event stream.
 * :mod:`repro.service.client` -- the in-process :class:`ServiceClient`
   facade used by ``repro.experiments`` and the benchmarks, including
   the streaming batch API (:meth:`ServiceClient.stream_batch`).
@@ -29,7 +29,7 @@ entrypoint shares (see ``docs/SERVICE.md``):
 * :mod:`repro.service.federation` -- cross-host shard federation: the
   shard-map config (``REPRO_SHARD_MAP`` / ``serve --shard-map``), the
   hardened :class:`RemoteShardClient` (retry/backoff, idempotent-only
-  resubmission), per-shard :class:`CircuitBreaker`\\ s, the async
+  resubmission), per-slot :class:`CircuitBreaker`\\ s, the async
   :class:`HealthChecker`, and the local-failover ladder the scheduler
   drives (``failover`` events, ``served_by`` attribution).
 """
@@ -71,11 +71,7 @@ from repro.service.spec import (
     model_versions,
     shard_for,
 )
-from repro.service.store import (
-    ResultStore,
-    ShardedResultStore,
-    store_root,
-)
+from repro.service.store import ResultStore, store_root
 
 __all__ = [
     "ServiceClient",
@@ -112,6 +108,5 @@ __all__ = [
     "model_versions",
     "shard_for",
     "ResultStore",
-    "ShardedResultStore",
     "store_root",
 ]

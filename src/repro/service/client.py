@@ -19,41 +19,31 @@ from repro.mlpolyufc.reports import KernelReport
 from repro.service.events import EventSink, ListSink
 from repro.service.scheduler import Job, Scheduler
 from repro.service.spec import JobSpec
-from repro.service.store import (
-    ResultStore,
-    ShardedResultStore,
-    resolve_store_shards,
-)
+from repro.service.store import ResultStore
 
 #: Pass as ``store=`` to disable persistence outright.
 NO_STORE = False
 
 
 def resolve_store(
-    store: Union[None, bool, str, Path, ResultStore, ShardedResultStore]
-    = None,
-    shards: Optional[int] = None,
-) -> Union[None, ResultStore, ShardedResultStore]:
+    store: Union[None, bool, str, Path, ResultStore] = None,
+) -> Optional[ResultStore]:
     """Store resolution: explicit object/path > env policy.
 
     ``None`` (default) honours ``REPRO_NO_CACHE=1``; ``False`` disables
-    the store; a path or store object pins it.  ``shards`` (explicit arg
-    > ``$REPRO_STORE_SHARDS`` > 1) selects the digest-sharded layout
-    when greater than one; an explicit store *object* is used as-is.
+    the store; a path or store object pins it.
     """
     if store is False:
         return None
-    if isinstance(store, (ResultStore, ShardedResultStore)):
+    if isinstance(store, ResultStore):
         return store
     if os.environ.get("REPRO_NO_CACHE", "") == "1" and not isinstance(
         store, (str, Path)
     ):
         return None
-    root = Path(store) if isinstance(store, (str, Path)) else None
-    shards = resolve_store_shards(shards)
-    if shards > 1:
-        return ShardedResultStore(root, shards=shards)
-    return ResultStore(root)
+    return ResultStore(
+        Path(store) if isinstance(store, (str, Path)) else None
+    )
 
 
 class ServiceClient:
@@ -63,21 +53,18 @@ class ServiceClient:
 
     def __init__(
         self,
-        store: Union[None, bool, str, Path, ResultStore,
-                     ShardedResultStore] = None,
+        store: Union[None, bool, str, Path, ResultStore] = None,
         workers: Optional[int] = None,
         sink: Optional[EventSink] = None,
         cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
-        shards: Optional[int] = None,
-        store_shards: Optional[int] = None,
         max_pending: Optional[int] = None,
         reject_pending: Optional[int] = None,
         client_quota: Optional[int] = None,
         client_id: Optional[str] = None,
         shard_map=None,
     ):
-        self.store = resolve_store(store, shards=store_shards)
+        self.store = resolve_store(store)
         self.sink = sink if sink is not None else ListSink()
         if client_id is None:
             ServiceClient._instances += 1
@@ -89,7 +76,6 @@ class ServiceClient:
             sink=self.sink,
             cm_timeout_s=cm_timeout_s,
             executor=executor,
-            shards=shards,
             max_pending=max_pending,
             reject_pending=reject_pending,
             client_quota=client_quota,
@@ -239,9 +225,9 @@ class ServiceClient:
         }
 
     def health(self) -> dict:
-        """The enriched ``/v1/healthz`` payload: per-shard store stats,
-        scheduler queue depths and admission bounds, federation slot
-        state, and the model versions (for cross-host skew checks)."""
+        """The enriched ``/v1/healthz`` payload: store stats, scheduler
+        queue depth and admission bounds, federation slot state, and the
+        model versions (for cross-host skew checks)."""
         from repro.service.spec import model_versions
 
         return {
@@ -252,9 +238,11 @@ class ServiceClient:
         }
 
     def store_stats(self) -> dict:
+        """:meth:`ResultStore.stats`, with the same keys when there is
+        no store."""
         if self.store is None:
             return {"root": None, "reports": 0, "workloads": 0,
-                    "indexed": 0}
+                    "families": 0, "indexed": 0}
         return self.store.stats()
 
     def events(self, kind: Optional[str] = None):

@@ -1,10 +1,9 @@
 """Cross-host shard federation: remote shards, breakers, failover.
 
-PR 6 sharded the scheduler *within* one host by consistent hashing on
-``workload_digest``.  This module takes the same routing across hosts: a
-**shard map** assigns each shard slot either to the local pool or to a
-remote ``repro.cli serve`` endpoint, and a hardened
-:class:`RemoteShardClient` forwards submissions over the existing
+A **shard map** assigns each shard slot either to the local pool or to
+a remote ``repro.cli serve`` endpoint; jobs pick a slot by consistent
+hashing on ``workload_digest``, and a hardened
+:class:`RemoteShardClient` forwards each job over the existing
 ``/v1/jobs`` API.  Content addressing is what makes this safe: a
 resubmitted job is idempotent by construction (the far side's in-flight
 dedup and result store coalesce duplicates), so the client may retry
@@ -55,7 +54,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.runtime import faults
 from repro.runtime.errors import (
@@ -96,6 +95,18 @@ class FederationPolicy:
     health_interval_s: float = 2.0
 
     def __post_init__(self):
+        # The shard map is outside input: a wrong type must fail here,
+        # not later in breaker arithmetic.  bool is an int subclass, but
+        # ``"attempts": true`` is a typo, not a count.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kinds = int if spec.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"federation policy field {spec.name!r} must be "
+                    f"{'an integer' if kinds is int else 'a number'}, "
+                    f"got {value!r}"
+                )
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
         if self.failure_threshold < 1:
@@ -553,61 +564,6 @@ class RemoteShardClient:
             )
         return jobs[0]
 
-    def stream(
-        self,
-        specs: Sequence[dict],
-        *,
-        timeout_s: Optional[float] = None,
-        client_id: Optional[str] = None,
-    ) -> Iterator[dict]:
-        """Forward a batch over ``/v1/jobs/stream``, yielding NDJSON rows.
-
-        Single attempt: a stream broken mid-flight is not transparently
-        resumable (rows already yielded would replay), so transport
-        trouble surfaces as :class:`RemoteShardError` and the caller
-        decides -- the scheduler's per-job forwarding path retries; this
-        batch path is for callers that handle partial streams.
-        """
-        wait_s = (
-            self.policy.request_timeout_s if timeout_s is None else timeout_s
-        )
-        target = f"{self.url}/v1/jobs/stream"
-        try:
-            faults.fire(FAULT_SITE)
-            if faults.network_garbage(FAULT_SITE) is not None:
-                raise RemoteShardError(
-                    f"{target}: undecodable stream payload", url=self.url
-                )
-            request = self._build_request(
-                target,
-                {"specs": list(specs), "timeout_s": wait_s},
-                client_id,
-            )
-            with urllib.request.urlopen(
-                request, timeout=wait_s + 30.0
-            ) as resp:
-                for line in resp:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line)
-                    except ValueError:
-                        raise RemoteShardError(
-                            f"{target}: undecodable stream line",
-                            url=self.url,
-                        ) from None
-        except urllib.error.HTTPError as exc:
-            raise RemoteShardError(
-                f"{target}: HTTP {exc.code}", url=self.url
-            ) from exc
-        except RemoteShardError:
-            raise
-        except OSError as exc:
-            raise RemoteShardError(
-                f"{target}: {type(exc).__name__}: {exc}", url=self.url
-            ) from exc
-
     def healthz(self) -> dict:
         """One un-retried health probe (failures *are* the signal)."""
         code, body = self._attempt(
@@ -709,7 +665,7 @@ class RemoteShard:
             row["last_error"] = self.last_error
         if self.last_health is not None:
             remote_sched = self.last_health.get("scheduler") or {}
-            row["remote_queue_depths"] = remote_sched.get("queue_depths")
+            row["remote_queue_depth"] = remote_sched.get("queue_depth")
         return row
 
 

@@ -7,8 +7,8 @@ uses, so batching, dedup and the event stream behave identically.
 
 Routes (all JSON)::
 
-    GET  /v1/healthz                 liveness + per-shard store stats +
-                                     scheduler queue depths/admission
+    GET  /v1/healthz                 liveness + store stats +
+                                     scheduler queue depth/admission
                                      bounds + federation breaker state +
                                      model versions (skew detection)
     POST /v1/jobs                    {"spec": {...}} or {"specs": [...]}
@@ -26,7 +26,7 @@ Malformed requests get ``400`` with ``{"error": ...}``; unknown jobs and
 routes get ``404``.  Admission control surfaces as ``429`` (the caller
 is at its per-client quota -- callers are identified by the
 ``X-Repro-Client`` header, falling back to the peer address) and ``503``
-(a scheduler shard is at its hard queue bound); both carry the jobs that
+(the scheduler is at its hard queue bound); both carry the jobs that
 were admitted before the refusal, plus a ``Retry-After`` header and a
 ``retry_after_s`` body field estimating the queue-drain time (the
 federation's :class:`~repro.service.federation.RemoteShardClient`
@@ -132,25 +132,21 @@ class _Handler(BaseHTTPRequestHandler):
         """
         client_id = self._client_id()
         jobs = []
-        # Remote-routed jobs from one request fan out per shard, not per
-        # job (one stream request each); a mid-batch refusal still
-        # flushes the already-admitted jobs on context exit.
-        with self.server.client.scheduler.batched_dispatch():
-            for raw in raw_specs:
-                try:
-                    jobs.append(
-                        self.server.client.submit(raw, client_id=client_id)
-                    )
-                except QuotaExceeded as exc:
-                    return jobs, (
-                        429, str(exc), getattr(exc, "retry_after_s", None)
-                    )
-                except AdmissionError as exc:
-                    return jobs, (
-                        503, str(exc), getattr(exc, "retry_after_s", None)
-                    )
-                except (ValueError, TypeError) as exc:  # malformed spec
-                    return jobs, (400, str(exc), None)
+        for raw in raw_specs:
+            try:
+                jobs.append(
+                    self.server.client.submit(raw, client_id=client_id)
+                )
+            except QuotaExceeded as exc:
+                return jobs, (
+                    429, str(exc), getattr(exc, "retry_after_s", None)
+                )
+            except AdmissionError as exc:
+                return jobs, (
+                    503, str(exc), getattr(exc, "retry_after_s", None)
+                )
+            except (ValueError, TypeError) as exc:  # malformed spec
+                return jobs, (400, str(exc), None)
         return jobs, None
 
     @staticmethod

@@ -18,9 +18,9 @@ This module gives the scheduler a pluggable execution core:
     processes never touch a sink.
 
 Backend selection: explicit argument > ``REPRO_SERVICE_EXECUTOR`` env >
-``process`` on multi-core hosts, ``thread`` on single-core ones (where a
-process pool only adds fork + pickle overhead; this is also what keeps
-1-CPU CI on the deterministic in-thread path).
+``thread``.  The default never depends on the host: at the default
+width of one worker a process pool runs the same serial work and only
+adds fork + JSON marshalling.
 
 Worker death is a first-class failure: a worker that disappears
 mid-job (OOM kill, segfault, the armed ``service.worker:die`` fault)
@@ -51,11 +51,9 @@ EXECUTOR_KINDS = ("thread", "process")
 
 
 def resolve_executor(kind: Optional[str] = None) -> str:
-    """Backend choice: explicit arg > env > cpu-count default."""
+    """Backend choice: explicit arg > env > ``thread``."""
     if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV) or None
-    if kind is None:
-        kind = "process" if (os.cpu_count() or 1) > 1 else "thread"
+        kind = os.environ.get(EXECUTOR_ENV) or "thread"
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
             f"unknown service executor {kind!r}; "
@@ -80,9 +78,7 @@ def _worker_main(payload: dict) -> dict:
         spec = JobSpec.from_json(payload["spec"])
         store = None
         if payload["store_root"] is not None:
-            store = resolve_store(
-                payload["store_root"], shards=payload["store_shards"]
-            )
+            store = resolve_store(payload["store_root"])
         family_info: dict = {}
         report = execute_report(
             spec,
@@ -143,15 +139,9 @@ class ProcessBackend:
 
     kind = "process"
 
-    def __init__(
-        self,
-        width: int,
-        store_root: Optional[str] = None,
-        store_shards: int = 1,
-    ):
+    def __init__(self, width: int, store_root: Optional[str] = None):
         self.width = width
         self.store_root = store_root
-        self.store_shards = store_shards
         # fork keeps worker start cheap (the repro modules are already
         # imported); fall back to the platform default where fork is
         # unavailable.
@@ -177,13 +167,12 @@ class ProcessBackend:
     def run(self, spec: JobSpec, store, workers, cm_timeout_s,
             family_info: Optional[dict] = None):
         # ``store`` is ignored: workers open their own handle from
-        # (store_root, store_shards) -- a live store object does not
-        # cross the process boundary.  Atomic object writes make the
-        # concurrent access safe.
+        # store_root -- a live store object does not cross the process
+        # boundary.  Atomic object writes make the concurrent access
+        # safe.
         payload = {
             "spec": spec.to_json(),
             "store_root": self.store_root,
-            "store_shards": self.store_shards,
             "workers": workers,
             "cm_timeout_s": cm_timeout_s,
         }
@@ -222,11 +211,7 @@ class ProcessBackend:
     def describe(self) -> dict:
         """Healthz row: this backend is also the federation's local
         failover slot, so remote operators can see its capacity."""
-        return {
-            "kind": self.kind,
-            "width": self.width,
-            "store_shards": self.store_shards,
-        }
+        return {"kind": self.kind, "width": self.width}
 
     def close(self) -> None:
         with self._lock:
@@ -234,15 +219,9 @@ class ProcessBackend:
 
 
 def make_backend(
-    kind: Optional[str],
-    width: int,
-    store_root: Optional[str] = None,
-    store_shards: int = 1,
+    kind: Optional[str], width: int, store_root: Optional[str] = None
 ):
     """Construct the resolved execution backend."""
-    resolved = resolve_executor(kind)
-    if resolved == "thread":
+    if resolve_executor(kind) == "thread":
         return ThreadBackend(width)
-    return ProcessBackend(
-        width, store_root=store_root, store_shards=store_shards
-    )
+    return ProcessBackend(width, store_root=store_root)

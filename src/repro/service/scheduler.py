@@ -1,37 +1,31 @@
-"""Async job scheduler: sharding, dedup, admission control, events.
+"""Async job scheduler: dedup, admission control, events.
 
-The scheduler accepts single and batch submissions, content-addresses
-each by its :meth:`JobSpec.digest`, and routes it to a **shard** by
-consistent hashing on the coarser :meth:`JobSpec.workload_digest`
-(:meth:`JobSpec.shard`) -- so jobs that share hardware-side simulator
-counters land together and the store's workload reuse stays shard-local.
-Within a shard, at most one pipeline execution per digest is in flight:
-concurrent identical submissions **coalesce** onto the primary job and
-share its future (event ``coalesced``; the primary is the only one that
-ever emits ``started``).  Identical digests always hash to the same
-shard, so per-shard dedup is exactly global dedup.  Completed digests
-are served from the result store (event ``cache_hit``) without occupying
+The scheduler accepts single and batch submissions and content-addresses
+each by its :meth:`JobSpec.digest`.  At most one pipeline execution per
+digest is in flight: concurrent identical submissions **coalesce** onto
+the primary job and share its future (event ``coalesced``; the primary
+is the only one that ever emits ``started``).  Completed digests are
+served from the result store (event ``cache_hit``) without occupying
 pipeline time at all.
 
 Execution runs on a pluggable backend (``repro.service.pool``): the
-``process`` backend ships jobs to a process pool as serialized spec /
-report JSON (real multi-core scaling for the CPU-bound pipeline), the
-``thread`` backend runs them inline on the dispatcher threads (the
-1-CPU / deterministic-CI path).  ``REPRO_SERVICE_EXECUTOR`` selects.
+``thread`` backend (the default) runs jobs inline on the dispatcher
+threads, the ``process`` backend ships them to a process pool as
+serialized spec / report JSON.  ``REPRO_SERVICE_EXECUTOR`` selects.
 
-Admission control bounds every queue:
+Admission control bounds the queue of primary jobs:
 
-* ``max_pending`` per shard: beyond it, new primary jobs are **shed** --
-  they still run, but pinned to the cheap ``timeout-cap`` degradation
-  rung (deadline 0), so overload degrades fidelity instead of queueing
+* ``max_pending``: beyond it, new primary jobs are **shed** -- they
+  still run, but pinned to the cheap ``timeout-cap`` degradation rung
+  (deadline 0), so overload degrades fidelity instead of queueing
   unboundedly.  Their futures carry the degraded (never-persisted)
   report and their terminal event is ``shed``.
-* ``reject_pending`` per shard (default ``4 * max_pending``): the hard
-  bound.  Beyond it even shed work is refused -- the submission gets a
-  ``shed`` event with ``rejected`` detail and :class:`AdmissionError`.
-* ``client_quota``: per-client in-flight cap across shards.  A client at
-  its quota gets ``quota_exceeded`` + :class:`QuotaExceeded`; the
-  request never enters the system (no ``submitted`` event).
+* ``reject_pending`` (default ``4 * max_pending``): the hard bound.
+  Beyond it even shed work is refused -- the submission gets a ``shed``
+  event with ``rejected`` detail and :class:`AdmissionError`.
+* ``client_quota``: per-client in-flight cap.  A client at its quota
+  gets ``quota_exceeded`` + :class:`QuotaExceeded`; the request never
+  enters the system (no ``submitted`` event).
 
 Per-job deadlines ride the existing cooperative machinery: the spec's
 ``cm_timeout_s`` (or the scheduler default) becomes a
@@ -40,10 +34,12 @@ exceeds it walks the exact -> approx -> timeout-cap ladder instead of
 blocking the pool; such reports complete normally but are never
 persisted.
 
-With a **shard map** (``repro.service.federation``), shard slots may be
-remote hosts: jobs routed to a remote slot are forwarded over
-``/v1/jobs`` by a hardened :class:`RemoteShardClient` (per-attempt
-timeouts, jittered backoff, idempotent-only retry, circuit breaker).
+With a **shard map** (``repro.service.federation``), each job picks a
+slot by consistent hashing on its :meth:`JobSpec.workload_digest`
+(:meth:`JobSpec.shard`), and slots may be remote hosts: jobs routed to a
+remote slot are forwarded one by one over ``/v1/jobs`` by a hardened
+:class:`RemoteShardClient` (per-attempt timeouts, jittered backoff,
+idempotent-only retry, circuit breaker).
 When the remote path fails structurally -- retry budget exhausted,
 breaker open, garbage response -- the job **fails over** to local
 recompute on the existing executor ladder: a ``failover`` event is
@@ -56,7 +52,6 @@ degrades throughput, never correctness.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import logging
 import os
@@ -91,27 +86,13 @@ JOB_STATES = (
     "queued", "running", "completed", "failed", "rejected",
 )
 
-SHARDS_ENV = "REPRO_SERVICE_SHARDS"
-
 
 class AdmissionError(RuntimeError):
-    """A shard's hard queue bound refused the submission outright."""
+    """The scheduler's hard queue bound refused the submission outright."""
 
 
 class QuotaExceeded(RuntimeError):
     """The submitting client is at its in-flight quota."""
-
-
-def resolve_shards(shards: Optional[int], width: int) -> int:
-    """Shard count: explicit arg > $REPRO_SERVICE_SHARDS > pool width."""
-    if shards is None:
-        try:
-            shards = int(os.environ.get(SHARDS_ENV, "0")) or None
-        except ValueError:
-            shards = None
-    if shards is None:
-        shards = width
-    return max(1, shards)
 
 
 @dataclass
@@ -160,7 +141,6 @@ class Scheduler:
         sink: Optional[EventSink] = None,
         cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
-        shards: Optional[int] = None,
         max_pending: Optional[int] = None,
         reject_pending: Optional[int] = None,
         client_quota: Optional[int] = None,
@@ -171,12 +151,9 @@ class Scheduler:
         self.width = resolve_workers(workers)
         self.default_timeout_s = cm_timeout_s
         self.shard_map = resolve_shard_map(shard_map)
-        if self.shard_map is not None:
-            # The map *is* the shard identity: slot order decides where
-            # every digest routes, across every front using the map.
-            self.shards = len(self.shard_map)
-        else:
-            self.shards = resolve_shards(shards, self.width)
+        # The map *is* the shard identity: slot order decides where
+        # every digest routes, across every front using the map.
+        self.shards = 1 if self.shard_map is None else len(self.shard_map)
         self.max_pending = max_pending
         if reject_pending is None and max_pending is not None:
             # The hard bound leaves headroom above the shed threshold
@@ -190,7 +167,6 @@ class Scheduler:
             executor,
             self.width,
             store_root=None if store_root is None else str(store_root),
-            store_shards=getattr(store, "shard_count", 1),
         )
         self.executor = self._backend.kind
         self._remotes: Dict[int, RemoteShard] = {}
@@ -219,16 +195,14 @@ class Scheduler:
         #: EWMA of completed-job wall time, feeding retry-after hints.
         self._avg_duration_s = 1.0
         self._lock = threading.Lock()
-        self._inflight: List[Dict[str, Job]] = [
-            {} for _ in range(self.shards)
-        ]
-        self._pending: List[int] = [0] * self.shards
+        #: digest -> the primary job computing it.
+        self._inflight: Dict[str, Job] = {}
+        #: Primary jobs admitted and not yet terminal.
+        self._pending = 0
         self._client_inflight: Dict[str, int] = {}
         self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count(1)
         self._closed = False
-        #: Per-thread deferred-dispatch buffer (``batched_dispatch``).
-        self._dispatch = threading.local()
 
     # -- events --------------------------------------------------------
 
@@ -253,8 +227,8 @@ class Scheduler:
         """Enqueue one job; returns immediately with a tracking handle.
 
         Raises :class:`QuotaExceeded` when ``client_id`` is at the
-        per-client quota and :class:`AdmissionError` when the target
-        shard is at its hard queue bound.
+        per-client quota and :class:`AdmissionError` when the scheduler
+        is at its hard queue bound.
         """
         if isinstance(spec, dict):
             spec = JobSpec.from_json(spec)
@@ -284,8 +258,8 @@ class Scheduler:
                 )
                 rejection = "quota"
             else:
-                primary = self._inflight[shard].get(digest)
-                depth = self._pending[shard]
+                primary = self._inflight.get(digest)
+                depth = self._pending
                 if primary is not None:
                     job.primary_id = primary.job_id
                     job.source = "coalesced"
@@ -298,7 +272,7 @@ class Scheduler:
                 ):
                     job.state = "rejected"
                     job.error = (
-                        f"shard {shard} is at its hard queue bound "
+                        f"scheduler is at its hard queue bound "
                         f"({depth} pending >= {self.reject_pending})"
                     )
                     rejection = "queue"
@@ -308,8 +282,8 @@ class Scheduler:
                         and depth >= self.max_pending
                     )
                     job.future = Future()
-                    self._inflight[shard][digest] = job
-                    self._pending[shard] = depth + 1
+                    self._inflight[digest] = job
+                    self._pending = depth = depth + 1
                     rejection = None
                 if rejection is None:
                     self._client_inflight[client_key] = (
@@ -322,67 +296,22 @@ class Scheduler:
             raise exc
         self._emit("submitted", job, detail=spec.label())
         if rejection == "queue":
-            self._emit("shed", job, detail=f"rejected shard={shard}")
+            self._emit("shed", job, detail=f"rejected depth={depth}")
             exc = AdmissionError(job.error)
-            exc.retry_after_s = self.retry_after_hint(shard)
+            exc.retry_after_s = self.retry_after_hint()
             raise exc
         if job.primary_id is not None:
             self._emit("coalesced", job, detail=job.primary_id)
         else:
             if not job.shed:
                 self._emit(
-                    "queued", job,
-                    detail=f"shard={shard} depth={self._pending[shard]}",
+                    "queued", job, detail=f"shard={shard} depth={depth}"
                 )
-            deferred = getattr(self._dispatch, "deferred", None)
-            if (
-                deferred is not None
-                and not job.shed
-                and job.shard in self._remotes
-            ):
-                # Inside batched_dispatch(): hold remote-routed primaries
-                # so the flush can coalesce each shard's jobs into one
-                # stream request.  (Shed jobs never cross the wire and
-                # local jobs gain nothing from batching.)
-                deferred.append(job)
-            else:
-                self._pool.submit(self._run, job)
+            self._pool.submit(self._run, job)
         return job
 
-    @contextlib.contextmanager
-    def batched_dispatch(self):
-        """Defer remote dispatch so a batch fans out per *shard*, not
-        per job.
-
-        Within the block, ``submit`` collects primary jobs routed to
-        remote shards instead of dispatching each to its own forwarding
-        thread.  On exit -- including exit via an admission refusal
-        mid-batch -- the collected jobs flush: each shard's group goes
-        out as **one** ``/v1/jobs/stream`` request
-        (:meth:`_run_remote_batch`); a group of one keeps the retried
-        per-job ``/v1/jobs`` path.  Nests safely (inner blocks flush
-        their own jobs); local jobs are never deferred.
-        """
-        previous = getattr(self._dispatch, "deferred", None)
-        self._dispatch.deferred = []
-        try:
-            yield
-        finally:
-            deferred = self._dispatch.deferred
-            self._dispatch.deferred = previous
-            by_shard: Dict[int, List[Job]] = {}
-            for job in deferred:
-                by_shard.setdefault(job.shard, []).append(job)
-            for shard, group in by_shard.items():
-                if len(group) == 1:
-                    self._pool.submit(self._run, group[0])
-                else:
-                    self._pool.submit(
-                        self._run_remote_batch, group, self._remotes[shard]
-                    )
-
     def _release(self, job: Job, primary: bool) -> None:
-        """Terminal bookkeeping: quota slot, shard depth, dedup entry."""
+        """Terminal bookkeeping: quota slot, queue depth, dedup entry."""
         client_key = job.client_id or "anon"
         with self._lock:
             count = self._client_inflight.get(client_key, 0)
@@ -391,8 +320,8 @@ class Scheduler:
             else:
                 self._client_inflight[client_key] = count - 1
             if primary:
-                self._pending[job.shard] -= 1
-                self._inflight[job.shard].pop(job.digest, None)
+                self._pending -= 1
+                self._inflight.pop(job.digest, None)
 
     def _finish_followers(
         self, primary: Job, exc: Optional[BaseException]
@@ -431,15 +360,8 @@ class Scheduler:
         specs: Sequence[Union[JobSpec, dict]],
         client_id: Optional[str] = None,
     ) -> List[Job]:
-        """Submit many jobs; duplicates inside the batch coalesce too.
-
-        Remote-routed jobs are dispatched per shard (one stream request
-        each), not per job -- see :meth:`batched_dispatch`.
-        """
-        with self.batched_dispatch():
-            return [
-                self.submit(spec, client_id=client_id) for spec in specs
-            ]
+        """Submit many jobs; duplicates inside the batch coalesce too."""
+        return [self.submit(spec, client_id=client_id) for spec in specs]
 
     # -- execution -----------------------------------------------------
 
@@ -479,9 +401,7 @@ class Scheduler:
         self._note_duration(duration_ms / 1e3)
         if job.shed:
             self._emit(
-                "shed", job,
-                detail=f"timeout-cap shard={job.shard}",
-                duration_ms=duration_ms,
+                "shed", job, detail="timeout-cap", duration_ms=duration_ms
             )
         else:
             detail = job.source or ""
@@ -655,120 +575,6 @@ class Scheduler:
         job.served_by = "remote"
         return report
 
-    def _failover_job(
-        self, job: Job, remote: RemoteShard, exc: BaseException
-    ) -> None:
-        """Recompute one batch member locally after its remote leg broke
-        (the batch twin of :meth:`_forward_remote`'s failover branch)."""
-        reason = f"{type(exc).__name__}: {exc}"
-        log.warning(
-            "remote shard %d (%s) failed (%s); recomputing locally",
-            job.shard, remote.url, reason,
-        )
-        job.served_by = "local_failover"
-        self._emit("failover", job, detail=f"shard={job.shard} {reason}")
-        try:
-            report = self._run_local(job.spec, self._job_timeout(job))
-        except BaseException as local_exc:
-            self._fail_job(job, local_exc)
-            return
-        self._postprocess_and_complete(job, report)
-
-    def _run_remote_batch(
-        self, jobs: List[Job], remote: RemoteShard
-    ) -> None:
-        """Serve a whole shard group over **one** ``/v1/jobs/stream``.
-
-        The per-shard flush of :meth:`batched_dispatch`: store hits are
-        served first (no wire), the rest go out as a single NDJSON
-        stream request and complete as their rows arrive.  A row-level
-        ``error`` is a *job* failure (the far pipeline genuinely failed;
-        the shard answered, so the breaker records success).  A broken
-        stream -- or a job whose row never arrived -- fails over to
-        local recompute per job, exactly like the per-job path, so a
-        mid-stream shard death degrades throughput, never correctness.
-        """
-        pending: List[Job] = []
-        for job in jobs:
-            with self._lock:
-                job.state = "running"
-                job.started_at = time.time()
-            try:
-                report = None
-                if self.store is not None:
-                    report = self.store.get_report(job.digest)
-            except BaseException as exc:
-                self._fail_job(job, exc)
-                continue
-            if report is not None:
-                job.source = "store"
-                job.served_by = "cache"
-                job.shed = False
-                self._emit("cache_hit", job)
-                self._complete_job(job, report)
-                continue
-            job.source = "computed"
-            self._emit(
-                "started", job,
-                detail=(
-                    f"remote shard={job.shard} {remote.url} "
-                    f"batch={len(jobs)}"
-                ),
-            )
-            pending.append(job)
-        if not pending:
-            return
-        by_digest: Dict[str, Job] = {job.digest: job for job in pending}
-        transport_exc: Optional[BaseException] = None
-        try:
-            if not remote.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit open for shard {pending[0].shard} "
-                    f"({remote.url})",
-                    url=remote.url,
-                )
-            rows = remote.client.stream(
-                [job.spec.to_json() for job in pending],
-                client_id=f"fed:{os.getpid()}",
-            )
-            for row in rows:
-                digest = row.get("digest")
-                job = by_digest.pop(digest, None) if digest else None
-                if job is None:
-                    continue  # timeout marker / unknown row
-                error = row.get("error")
-                if error:
-                    self._fail_job(job, EngineFailure(
-                        f"remote shard {job.shard} ({remote.url}): "
-                        f"{error}",
-                        site="service.remote",
-                    ))
-                    continue
-                try:
-                    report = KernelReport.from_json(row["report"])
-                except (KeyError, ValueError, TypeError) as exc:
-                    # One garbage row: that job recomputes locally; the
-                    # stream (and the breaker's view of it) continues.
-                    self._failover_job(job, remote, exc)
-                    continue
-                job.served_by = "remote"
-                self._postprocess_and_complete(job, report)
-        except (CircuitOpenError, RemoteShardError,
-                TransientIOError) as exc:
-            if not isinstance(exc, CircuitOpenError):
-                remote.breaker.record_failure()
-            transport_exc = exc
-        else:
-            remote.breaker.record_success()
-        if by_digest:
-            leftover = transport_exc or RemoteShardError(
-                f"{remote.url}/v1/jobs/stream: stream ended without "
-                f"rows for {len(by_digest)} job(s)",
-                url=remote.url,
-            )
-            for job in list(by_digest.values()):
-                self._failover_job(job, remote, leftover)
-
     def _note_duration(self, duration_s: float) -> None:
         with self._lock:
             self._avg_duration_s = (
@@ -781,32 +587,28 @@ class Scheduler:
         """The live remote-slot bundles (empty without a shard map)."""
         return list(self._remotes.values())
 
-    def retry_after_hint(self, shard: Optional[int] = None) -> float:
+    def retry_after_hint(self) -> float:
         """Seconds a refused client should wait before retrying.
 
-        Estimated queue-drain time: current depth (of ``shard``, or the
-        deepest shard) times the completed-job duration EWMA, divided by
-        the pool width; clamped to [0.5s, 60s].  Attached to
+        Estimated queue-drain time: current queue depth times the
+        completed-job duration EWMA, divided by the pool width; clamped
+        to [0.5s, 60s].  Attached to
         :class:`QuotaExceeded`/:class:`AdmissionError` and surfaced by
         the HTTP front as ``Retry-After`` + ``retry_after_s``.
         """
         with self._lock:
-            depth = (
-                self._pending[shard]
-                if shard is not None and 0 <= shard < self.shards
-                else max(self._pending, default=0)
-            )
+            depth = self._pending
             avg = self._avg_duration_s
         drain = max(1, depth) * avg / max(1, self.width)
         return round(min(max(drain, 0.5), 60.0), 2)
 
     def stats(self) -> dict:
         """A JSON-shaped operational snapshot (the ``/v1/healthz``
-        ``scheduler`` section): queue depths per shard, admission
-        bounds, backend capacity, and -- when federated -- every remote
-        slot's breaker/health state."""
+        ``scheduler`` section): queue depth, admission bounds, backend
+        capacity, and -- when federated -- every remote slot's
+        breaker/health state."""
         with self._lock:
-            depths = list(self._pending)
+            depth = self._pending
             jobs = len(self._jobs)
             clients = len(self._client_inflight)
             avg = self._avg_duration_s
@@ -814,8 +616,7 @@ class Scheduler:
             "executor": self.executor,
             "backend": self._backend.describe(),
             "width": self.width,
-            "shards": self.shards,
-            "queue_depths": depths,
+            "queue_depth": depth,
             "max_pending": self.max_pending,
             "reject_pending": self.reject_pending,
             "client_quota": self.client_quota,

@@ -43,12 +43,12 @@ PLATFORM_NAMES = ("rpl", "bdw")
 
 
 def shard_for(digest: str, shards: int) -> int:
-    """Consistent digest -> shard routing (stable across processes).
+    """Consistent digest -> shard-map slot routing (stable across
+    processes).
 
     The digest is already a uniform SHA-256, so its leading 64 bits mod
     ``shards`` is an even, deterministic partition: every process (and
-    every host) maps the same digest to the same shard, which is what
-    keeps in-flight dedup and workload-counter reuse shard-local.
+    every host) maps the same digest to the same slot.
     """
     if shards <= 1:
         return 0
@@ -316,13 +316,11 @@ class JobSpec:
         return spec.validate()
 
     def shard(self, shards: int) -> int:
-        """The scheduler shard this spec routes to.
+        """The shard-map slot this spec routes to.
 
         Routing hashes the **workload** digest, not the full digest, so
-        jobs that share hardware-side counters land on the same shard
-        and the counter reuse in ``execute_report`` stays shard-local.
-        Identical full digests share a workload digest a fortiori, so
-        in-flight dedup is shard-local too.
+        jobs that share hardware-side counters land on the same slot --
+        the host whose store already holds those counters.
         """
         return shard_for(self.workload_digest(), shards)
 

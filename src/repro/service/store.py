@@ -14,13 +14,6 @@ Layout (under :func:`store_root`, relocatable via ``REPRO_STORE_DIR`` or
                                       digest; see ``JobSpec.family_digest``)
       index.json                      digest -> queryable summary row
 
-:class:`ShardedResultStore` splits that layout into N digest-routed
-shard directories (``shard-00/ .. shard-NN/``, each a full
-:class:`ResultStore`), so shards can live on different disks or hosts;
-objects route by digest prefix (:func:`repro.service.spec.shard_for`),
-queries fan in across every shard, and each shard's index rebuilds
-independently.
-
 Every object rides the same hardened discipline as the rest of the
 persistent caches (``repro.runtime.io``): checksummed ``repro-envelope``
 payloads, per-writer temp files published with ``os.replace``, and
@@ -39,9 +32,9 @@ Two policies are enforced *here*, once, for every producer:
   schema-drifted object is quarantined (``<name>.corrupt``) and the
   caller recomputes.
 
-The index is a best-effort acceleration structure, not a source of
-truth: it is rebuilt from the report objects whenever it is missing or
-corrupt, and :meth:`ResultStore.rebuild_index` does so on demand.
+The index is an acceleration structure, not a source of truth: a put
+writes only the report object, and every read of the index reconciles
+it with the objects on disk (see :meth:`ResultStore._load_index`).
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -66,22 +58,11 @@ from repro.runtime import (
     quarantine_file,
     read_checked_json,
 )
-from repro.service.spec import JobSpec, shard_for
+from repro.service.spec import JobSpec
 
 log = logging.getLogger("repro.runtime")
 
 STORE_DIR_ENV = "REPRO_STORE_DIR"
-STORE_SHARDS_ENV = "REPRO_STORE_SHARDS"
-
-
-def resolve_store_shards(shards: Optional[int] = None) -> int:
-    """Shard count: explicit arg > $REPRO_STORE_SHARDS > 1 (unsharded)."""
-    if shards is None:
-        try:
-            shards = int(os.environ.get(STORE_SHARDS_ENV, "1"))
-        except ValueError:
-            shards = 1
-    return max(1, shards)
 
 
 def store_root() -> Path:
@@ -95,7 +76,9 @@ def store_root() -> Path:
     return Path(__file__).resolve().parents[3] / ".polyufc_cache" / "store"
 
 
-def _index_row(spec: JobSpec, report: KernelReport, digest: str) -> dict:
+def _index_row(
+    spec: JobSpec, report: KernelReport, digest: str, created_at: float
+) -> dict:
     caps = report.caps()
     return {
         "digest": digest,
@@ -111,15 +94,12 @@ def _index_row(spec: JobSpec, report: KernelReport, digest: str) -> dict:
         "min_cap_ghz": min(caps) if caps else None,
         "max_cap_ghz": max(caps) if caps else None,
         "cm_notes": len(report.noted_units),
-        "created_at": time.time(),
+        "created_at": created_at,
     }
 
 
 class ResultStore:
     """Content-addressed report + workload store with a queryable index."""
-
-    #: Uniform introspection with :class:`ShardedResultStore`.
-    shard_count = 1
 
     def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else store_root()
@@ -178,7 +158,6 @@ class ResultStore:
                 "store write of %s failed (%s); continuing", path.name, exc
             )
             return None
-        self._index_put(_index_row(spec, report, digest))
         return path
 
     def get_report(self, digest: str) -> Optional[KernelReport]:
@@ -315,53 +294,67 @@ class ResultStore:
     # -- index + queries ----------------------------------------------
 
     def _load_index(self) -> Dict[str, dict]:
+        """The index, reconciled with the report objects on disk.
+
+        Rows whose object is gone (deleted or quarantined) are dropped,
+        objects the index lacks are read and indexed, and the index is
+        rewritten once if anything changed.  A missing, corrupt or
+        unreadable index reconciles from empty.  Objects that cannot be
+        indexed (corrupt ones are quarantined by the read) are skipped.
+        """
+        with self._lock:
+            rows = None
+            try:
+                payload = read_checked_json(self.index_path)
+                if isinstance(payload, dict):
+                    rows = payload.get("rows")
+            except (FileNotFoundError, CacheCorruption):
+                pass  # a corrupt index is quarantined by the reader
+            except (TransientIOError, EngineFailure) as exc:
+                log.warning("index read failed (%s); rescanning", exc)
+            if not isinstance(rows, dict):
+                rows = {}
+            try:
+                names = os.listdir(self.reports_dir)
+            except FileNotFoundError:
+                names = []
+            digests = {
+                name[: -len(".json")]
+                for name in names if name.endswith(".json")
+            }
+            changed = False
+            for digest in set(rows) - digests:
+                del rows[digest]
+                changed = True
+            for digest in sorted(digests - set(rows)):
+                row = self._object_row(digest)
+                if row is not None:
+                    rows[digest] = row
+                    changed = True
+            if changed:
+                self._write_index(rows)
+            return rows
+
+    def _object_row(self, digest: str) -> Optional[dict]:
+        """The index row of one report object, or ``None``."""
+        path = self.report_path(digest)
         try:
-            payload = read_checked_json(self.index_path, quarantine=True)
-        except FileNotFoundError:
-            return {}
-        except CacheCorruption:
-            return self.rebuild_index()
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning("index read failed (%s); using empty view", exc)
-            return {}
-        rows = payload.get("rows") if isinstance(payload, dict) else None
-        if not isinstance(rows, dict):
-            return self.rebuild_index()
-        return rows
+            payload = read_checked_json(
+                path, required_keys=("spec", "report")
+            )
+            spec = JobSpec.from_json(payload["spec"])
+            report = KernelReport.from_json(payload["report"])
+            created_at = path.stat().st_mtime
+        except (CacheCorruption, ReportSchemaError, ValueError, OSError,
+                TransientIOError, EngineFailure):
+            return None  # quarantined, stale or gone; skip
+        return _index_row(spec, report, digest, created_at)
 
     def _write_index(self, rows: Dict[str, dict]) -> None:
         try:
             atomic_write_json(self.index_path, {"rows": rows})
         except (TransientIOError, EngineFailure, OSError) as exc:
             log.warning("index write failed (%s); continuing", exc)
-
-    def _index_put(self, row: dict) -> None:
-        with self._lock:
-            rows = self._load_index()
-            rows[row["digest"]] = row
-            self._write_index(rows)
-
-    def rebuild_index(self) -> Dict[str, dict]:
-        """Regenerate the index by scanning every report object."""
-        rows: Dict[str, dict] = {}
-        if self.reports_dir.is_dir():
-            for path in sorted(self.reports_dir.glob("*.json")):
-                digest = path.stem
-                try:
-                    payload = read_checked_json(
-                        path, required_keys=("spec", "report")
-                    )
-                    spec = JobSpec.from_json(payload["spec"])
-                    report = KernelReport.from_json(payload["report"])
-                except (CacheCorruption, ReportSchemaError, ValueError):
-                    continue  # quarantined or stale; skip
-                except (TransientIOError, EngineFailure):
-                    continue
-                row = _index_row(spec, report, digest)
-                row["created_at"] = path.stat().st_mtime
-                rows[digest] = row
-        self._write_index(rows)
-        return rows
 
     def query(
         self,
@@ -383,8 +376,7 @@ class ResultStore:
             raise ValueError(
                 f"boundedness must be 'CB' or 'BB', got {boundedness!r}"
             )
-        with self._lock:
-            rows = list(self._load_index().values())
+        rows = list(self._load_index().values())
 
         def keep(row: dict) -> bool:
             if benchmark is not None and row["benchmark"] != benchmark:
@@ -442,114 +434,4 @@ class ResultStore:
             "workloads": workloads,
             "families": families,
             "indexed": len(self._load_index()),
-        }
-
-
-class ShardedResultStore:
-    """N digest-routed :class:`ResultStore` shards behind one facade.
-
-    Routing is by digest prefix (:func:`repro.service.spec.shard_for`):
-    report objects route on the spec digest, workload objects on the
-    workload digest -- both deterministic across processes and hosts, so
-    a pool worker and its parent scheduler open independent handles and
-    still agree on every object's location.  Reads and writes are
-    shard-local; :meth:`query`, :meth:`stats` and :meth:`rebuild_index`
-    fan in across every shard.
-    """
-
-    def __init__(self, root: Optional[Path] = None, shards: int = 2):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.root = Path(root) if root is not None else store_root()
-        self.shard_count = shards
-        self.shards = [
-            ResultStore(self.root / f"shard-{index:02d}")
-            for index in range(shards)
-        ]
-
-    def shard_of(self, digest: str) -> ResultStore:
-        return self.shards[shard_for(digest, self.shard_count)]
-
-    # -- reports -------------------------------------------------------
-
-    def put_report(
-        self, spec: JobSpec, report: KernelReport
-    ) -> Optional[Path]:
-        return self.shard_of(spec.digest()).put_report(spec, report)
-
-    def get_report(self, digest: str) -> Optional[KernelReport]:
-        return self.shard_of(digest).get_report(digest)
-
-    def has_report(self, digest: str) -> bool:
-        return self.shard_of(digest).has_report(digest)
-
-    def report_path(self, digest: str) -> Path:
-        return self.shard_of(digest).report_path(digest)
-
-    # -- workloads -----------------------------------------------------
-
-    def put_workload(self, digest: str, units: List[dict]) -> Optional[Path]:
-        return self.shard_of(digest).put_workload(digest, units)
-
-    def get_workload(self, digest: str) -> Optional[List[dict]]:
-        return self.shard_of(digest).get_workload(digest)
-
-    def workload_path(self, digest: str) -> Path:
-        return self.shard_of(digest).workload_path(digest)
-
-    # -- parametric kernel families ------------------------------------
-
-    def put_family(
-        self, digest: str, artifact: ParametricCharacterization
-    ) -> Optional[Path]:
-        return self.shard_of(digest).put_family(digest, artifact)
-
-    def get_family(
-        self, digest: str
-    ) -> Optional[ParametricCharacterization]:
-        return self.shard_of(digest).get_family(digest)
-
-    def family_path(self, digest: str) -> Path:
-        return self.shard_of(digest).family_path(digest)
-
-    # -- fan-in --------------------------------------------------------
-
-    def rebuild_index(self) -> Dict[str, dict]:
-        rows: Dict[str, dict] = {}
-        for shard in self.shards:
-            rows.update(shard.rebuild_index())
-        return rows
-
-    def query(self, *, limit: Optional[int] = None, **filters) -> List[dict]:
-        """Cross-shard fan-in: per-shard queries, one merged sort.
-
-        Each shard already returns rows in the deterministic
-        (benchmark, platform, objective, digest) order; the fan-in
-        re-sorts the union on the same key, so the result is identical
-        to an unsharded store over the same objects.  ``limit`` applies
-        after the merge.
-        """
-        rows: List[dict] = []
-        for shard in self.shards:
-            rows.extend(shard.query(**filters))
-        rows.sort(
-            key=lambda row: (
-                row["benchmark"], row["platform"],
-                row["objective"], row["digest"],
-            )
-        )
-        if limit is not None:
-            rows = rows[: max(0, int(limit))]
-        return rows
-
-    def stats(self) -> dict:
-        per_shard = [shard.stats() for shard in self.shards]
-        return {
-            "root": str(self.root),
-            "shards": self.shard_count,
-            "reports": sum(row["reports"] for row in per_shard),
-            "workloads": sum(row["workloads"] for row in per_shard),
-            "families": sum(row["families"] for row in per_shard),
-            "indexed": sum(row["indexed"] for row in per_shard),
-            "per_shard": per_shard,
         }

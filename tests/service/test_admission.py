@@ -1,4 +1,4 @@
-"""Admission control: bounded queues, shedding, quotas, shard routing."""
+"""Admission control: the bounded queue, shedding, quotas, slot routing."""
 
 import collections
 
@@ -44,8 +44,7 @@ def assert_terminal_invariant(sink):
 
 def test_bounded_queue_rejects_at_the_hard_cap(sink):
     sched = Scheduler(
-        store=None, sink=sink, shards=1,
-        max_pending=1, reject_pending=2,
+        store=None, sink=sink, max_pending=1, reject_pending=2,
     )
     try:
         with inject("cm.chunk", "slow", arg=0.05):
@@ -76,8 +75,7 @@ def test_overload_sheds_to_timeout_cap_and_never_persists(
     store = ResultStore(tmp_path / "store")
     # max_pending=0: every primary job sheds -- deterministic overload.
     sched = Scheduler(
-        store=store, sink=sink, shards=1,
-        max_pending=0, reject_pending=10,
+        store=store, sink=sink, max_pending=0, reject_pending=10,
     )
     try:
         job = sched.submit(JobSpec(benchmark=KERNEL))
@@ -96,7 +94,7 @@ def test_overload_sheds_to_timeout_cap_and_never_persists(
 
 
 def test_client_quota_rejects_before_admission(sink):
-    sched = Scheduler(store=None, sink=sink, shards=1, client_quota=1)
+    sched = Scheduler(store=None, sink=sink, client_quota=1)
     try:
         with inject("cm.chunk", "slow", arg=0.05):
             first = sched.submit(
@@ -125,28 +123,10 @@ def test_client_quota_rejects_before_admission(sink):
     assert_terminal_invariant(sink)
 
 
-def test_identical_submissions_coalesce_within_their_shard(sink):
-    sched = Scheduler(store=None, sink=sink, shards=4)
-    spec = JobSpec(benchmark=KERNEL)
-    try:
-        with inject("cm.chunk", "slow", arg=0.05):
-            jobs = [sched.submit(spec) for _ in range(5)]
-            reports = sched.wait_all(jobs, timeout=300)
-    finally:
-        sched.shutdown()
-
-    # Consistent hashing sends identical digests to one shard, so the
-    # per-shard dedup is global: exactly one execution.
-    assert len({job.shard for job in jobs}) == 1
-    assert event_kinds(sink).count("started") == 1
-    assert event_kinds(sink).count("coalesced") == 4
-    assert all(r.to_json() == reports[0].to_json() for r in reports)
-    assert_terminal_invariant(sink)
-
-
 def test_workload_siblings_route_to_the_same_shard():
     # Jobs differing only in objective share the workload digest, so
-    # they must land on the same shard (counter reuse is shard-local).
+    # they must land on the same shard-map slot (the remote host that
+    # holds their hardware-side counters).
     edp = JobSpec(benchmark=KERNEL, objective="edp")
     energy = JobSpec(benchmark=KERNEL, objective="energy")
     assert edp.workload_digest() == energy.workload_digest()

@@ -48,12 +48,7 @@ FAST = FederationPolicy(
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     store = tmp_path_factory.mktemp("fed_remote") / "store"
-    # Module-scoped, so built before the per-test thread pin applies:
-    # name the backend, or multi-core hosts get the fork pool and the
-    # tests' monkeypatches never reach the workers.
-    server = make_server(
-        "127.0.0.1", 0, store=str(store), executor="thread"
-    )
+    server = make_server("127.0.0.1", 0, store=str(store))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -123,6 +118,10 @@ class TestShardMap:
             [42],
             {"shards": ["local"], "policy": {"bogus": 1}},
             {"shards": ["local"], "policy": {"attempts": 0}},
+            {"shards": ["local"], "policy": {"attempts": "3"}},
+            {"shards": ["local"], "policy": {"cooldown_s": "soon"}},
+            {"shards": ["local"], "policy": {"health_interval_s": None}},
+            {"shards": ["local"], "policy": {"attempts": True}},
         ],
     )
     def test_rejects_malformed(self, data):
@@ -310,19 +309,6 @@ class TestRemoteShardClient:
         assert row["state"] == "completed"
         assert row["report"]["benchmark"] == KERNEL
 
-    def test_stream_is_single_attempt(self, server):
-        _, base = server
-        client, sleeps = self.client(base)
-        with faults.inject(FAULT_SITE, "refuse", arg=1):
-            with pytest.raises(RemoteShardError):
-                list(client.stream([{"benchmark": KERNEL}]))
-        assert sleeps == []  # broken streams are the caller's call
-        rows = list(
-            client.stream([{"benchmark": KERNEL}], timeout_s=300.0)
-        )
-        assert len(rows) == 1
-        assert rows[0]["state"] == "completed"
-
     def test_healthz_is_unretried(self, server):
         _, base = server
         client, sleeps = self.client(base)
@@ -380,7 +366,7 @@ class TestRemoteShardHealth:
         assert remote.breaker.state == "half-open"  # not closed: probe next
         snap = remote.snapshot()
         assert snap["kind"] == "remote"
-        assert snap["remote_queue_depths"] is not None
+        assert snap["remote_queue_depth"] is not None
 
     def test_dead_endpoint_counts_toward_opening(self):
         remote = RemoteShard(0, "http://127.0.0.1:1", policy=FAST)
@@ -588,7 +574,7 @@ class TestFederatedFrontHTTP:
         assert body["ok"] is True
         assert body["store"]["root"]
         scheduler = body["scheduler"]
-        assert scheduler["shards"] == len(scheduler["queue_depths"])
+        assert scheduler["queue_depth"] >= 0
         assert "max_pending" in scheduler
         assert "avg_job_s" in scheduler
         assert body["versions"]  # the skew-detection recipe
@@ -643,111 +629,33 @@ class TestFederatedFrontHTTP:
 
 
 # ---------------------------------------------------------------------------
-# batched remote dispatch: one stream request per shard
+# batch dispatch: one retried /v1/jobs forward per job
 # ---------------------------------------------------------------------------
 
 
-def counting_remote(client):
-    """Wrap the front's remote client with wire-call counters."""
-    (remote,) = client.scheduler.remote_shards()
-    calls = {"stream": 0, "submit_wait": 0}
-    orig_stream = remote.client.stream
-    orig_submit_wait = remote.client.submit_wait
-
-    def stream(specs, **kwargs):
-        calls["stream"] += 1
-        return orig_stream(specs, **kwargs)
-
-    def submit_wait(spec, **kwargs):
-        calls["submit_wait"] += 1
-        return orig_submit_wait(spec, **kwargs)
-
-    remote.client.stream = stream
-    remote.client.submit_wait = submit_wait
-    return calls
-
-
-class TestStreamBatching:
-    def test_batch_is_one_stream_request_not_per_job_fanout(self, server):
+class TestBatchDispatch:
+    def test_batch_forwards_each_job_over_submit_wait(self, server):
         _, base = server
         with front(base) as client:
-            calls = counting_remote(client)
-            specs = [
+            (remote,) = client.scheduler.remote_shards()
+            calls = []
+            submit_wait = remote.client.submit_wait
+
+            def counted(spec, **kwargs):
+                calls.append(spec["objective"])
+                return submit_wait(spec, **kwargs)
+
+            remote.client.submit_wait = counted
+            jobs = client.submit_batch([
                 {"benchmark": KERNEL, "objective": objective}
                 for objective in ("edp", "energy", "performance")
-            ]
-            jobs = client.submit_batch(specs)
+            ])
             reports = client.wait_all(jobs, timeout=300)
             assert [r.benchmark for r in reports] == [KERNEL] * 3
-            # The whole batch crossed the wire exactly once.
-            assert calls == {"stream": 1, "submit_wait": 0}
+            assert sorted(calls) == ["edp", "energy", "performance"]
             assert all(
                 row["served_by"] == "remote"
                 for row in client.scheduler.jobs()
             )
             assert event_kinds(client).count("failover") == 0
-            assert_balanced(client)
-
-    def test_single_job_batch_keeps_the_retried_per_job_path(self, server):
-        _, base = server
-        with front(base) as client:
-            calls = counting_remote(client)
-            (job,) = client.submit_batch([{"benchmark": KERNEL}])
-            assert job.result(300).benchmark == KERNEL
-            # A group of one gains nothing from the single-attempt
-            # stream; it keeps the retry-laddered submit_wait leg.
-            assert calls == {"stream": 0, "submit_wait": 1}
-            assert_balanced(client)
-
-    def test_unbatched_submit_still_forwards_per_job(self, server):
-        _, base = server
-        with front(base) as client:
-            calls = counting_remote(client)
-            job = client.submit({"benchmark": KERNEL})
-            assert job.result(300).benchmark == KERNEL
-            assert calls == {"stream": 0, "submit_wait": 1}
-
-    def test_broken_stream_fails_over_every_batch_member(self, server):
-        _, base = server
-        with front(base) as client:
-            calls = counting_remote(client)
-            with faults.inject(FAULT_SITE, "droppedconn"):
-                jobs = client.submit_batch([
-                    {"benchmark": KERNEL},
-                    {"benchmark": KERNEL, "objective": "energy"},
-                ])
-                reports = client.wait_all(jobs, timeout=300)
-            assert [r.benchmark for r in reports] == [KERNEL] * 2
-            assert calls["stream"] == 1  # one broken wire attempt
-            served = [row["served_by"] for row in client.scheduler.jobs()]
-            assert served == ["local_failover", "local_failover"]
-            assert event_kinds(client).count("failover") == 2
-            assert_balanced(client)
-
-    def test_job_level_errors_in_stream_do_not_fail_over(
-        self, server, monkeypatch
-    ):
-        _, base = server
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("synthetic executor crash")
-
-        # Breaks the *remote* server's pipeline (same process); fresh
-        # specs dodge its store so the computed path is forced.
-        monkeypatch.setattr(
-            "repro.service.executor.execute_report", boom
-        )
-        with front(base) as client:
-            jobs = client.submit_batch([
-                {"benchmark": "bicg", "objective": "energy"},
-                {"benchmark": "bicg", "objective": "performance"},
-            ])
-            for job in jobs:
-                with pytest.raises(Exception, match="remote shard"):
-                    job.result(300)
-            # The shard answered both rows: job failures, not shard
-            # failures -- no failover, breaker still closed.
-            assert event_kinds(client).count("failover") == 0
-            (remote,) = client.scheduler.remote_shards()
-            assert remote.breaker.state == "closed"
             assert_balanced(client)

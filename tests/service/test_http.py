@@ -12,11 +12,7 @@ def server(tmp_path_factory):
     import threading
 
     store = tmp_path_factory.mktemp("http_store") / "store"
-    # Module-scoped, so built before the per-test thread pin applies:
-    # name the backend so every host runs the same in-thread server.
-    server = make_server(
-        "127.0.0.1", 0, store=str(store), executor="thread"
-    )
+    server = make_server("127.0.0.1", 0, store=str(store))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"

@@ -21,7 +21,9 @@ def test_resolve_executor_precedence(monkeypatch):
     assert resolve_executor(None) == "process"
     assert resolve_executor("thread") == "thread"  # arg outranks env
     monkeypatch.delenv("REPRO_SERVICE_EXECUTOR")
-    assert resolve_executor(None) in ("thread", "process")
+    # The default does not follow the host: thread even on many cores.
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert resolve_executor(None) == "thread"
     with pytest.raises(ValueError, match="unknown service executor"):
         resolve_executor("fibers")
 

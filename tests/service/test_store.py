@@ -1,6 +1,8 @@
 """ResultStore: lossless round-trips, quarantine, index + range queries."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -177,12 +179,76 @@ class TestIndexAndQueries:
         with pytest.raises(ValueError):
             populated.query(boundedness="XX")
 
+    def test_put_leaves_the_index_alone(self, store):
+        store.put_report(JobSpec(benchmark="atax"), make_report())
+        assert not store.index_path.exists()
+        assert len(store.query()) == 1  # the read indexes the object
+        before = store.index_path.read_bytes()
+        store.put_report(
+            JobSpec(benchmark="bicg"), make_report("bicg", cap_ghz=1.5)
+        )
+        assert store.index_path.read_bytes() == before
+        assert len(store.query()) == 2
+
     def test_rebuild_after_index_loss(self, populated):
+        rows = populated.query()
         populated.index_path.unlink()
-        assert populated.query() == []  # best-effort view is empty...
-        rows = populated.rebuild_index()  # ...until rebuilt on demand
-        assert len(rows) == 3
+        assert populated.query() == rows  # reconciled from the objects
         assert len(populated.query(benchmark="atax")) == 2
+
+    def test_corrupted_object_drops_out_of_queries(self, populated):
+        atax = JobSpec(benchmark="atax", objective="edp").digest()
+        assert len(populated.query()) == 3  # indexed before the damage
+        path = populated.report_path(atax)
+        path.write_text(path.read_text()[:30])
+        assert populated.get_report(atax) is None  # quarantined
+        assert list(populated.reports_dir.glob("*.corrupt"))
+        assert atax not in [row["digest"] for row in populated.query()]
+        # An object corrupted before any read is quarantined by the
+        # reconcile itself.
+        bicg = JobSpec(benchmark="bicg", objective="edp").digest()
+        populated.index_path.unlink()
+        path = populated.report_path(bicg)
+        path.write_text(path.read_text()[:30])
+        assert [row["benchmark"] for row in populated.query()] == ["atax"]
+        assert not path.exists()
+
+    def test_concurrent_writers_lose_no_rows(self, tmp_path):
+        # Two handles on one root, like a scheduler and its pool
+        # workers: separate locks, only the objects on disk are shared.
+        root = tmp_path / "store"
+        handles = [ResultStore(root), ResultStore(root)]
+        names = ["atax", "bicg", "mvt", "gemm", "trisolv", "2mm", "3mm",
+                 "gesummv"]
+        objectives = ["edp", "energy", "performance"]
+
+        def write(handle, chunk):
+            for name in chunk:
+                for objective in objectives:
+                    handle.put_report(
+                        JobSpec(benchmark=name, objective=objective),
+                        make_report(name, objective),
+                    )
+
+        def read():
+            for _ in range(20):
+                handles[1].query()
+
+        threads = [
+            threading.Thread(target=write, args=(handles[i % 2], names[i::4]))
+            for i in range(4)
+        ] + [threading.Thread(target=read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(ResultStore(root).query()) == len(names) * len(objectives)
 
     def test_corrupt_index_rebuilds_automatically(self, populated):
         populated.index_path.write_text("not an envelope at all")
@@ -197,3 +263,12 @@ class TestIndexAndQueries:
         assert stats["reports"] == 3
         assert stats["workloads"] == 1
         assert stats["indexed"] == 3
+
+    def test_client_stats_keep_their_keys_without_a_store(self, tmp_path):
+        from repro.service import ServiceClient
+
+        with ServiceClient(store=tmp_path / "store") as client:
+            with_store = client.store_stats()
+        with ServiceClient(store=False) as client:
+            without = client.store_stats()
+        assert set(without) == set(with_store)
