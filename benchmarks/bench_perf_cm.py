@@ -2,8 +2,7 @@
 
 Times trace generation and PolyUFC-CM evaluation on representative
 PolyBench kernels, for both the set-associative (SA) and fully-associative
-(FA) RPL hierarchies and all three CM engines, and times per-unit
-characterization serially vs through the thread pool.  The trace-free
+(FA) RPL hierarchies and all three CM engines.  The trace-free
 ``symbolic`` engine is measured against ``trace_s + fast_s`` (the cost it
 replaces); kernels outside its quasi-affine class record the fallback
 reason instead of a time.  Results (and the engines' agreement check)
@@ -35,12 +34,8 @@ import numpy as np
 
 from repro.benchsuite.polybench import POLYBENCH_BUILDERS
 from repro.cache import generate_trace, polyufc_cm
-from repro.cache.memo import clear_memo
 from repro.cache.symbolic_model import SymbolicUnsupported, symbolic_cm
 from repro.hw.platform import PLATFORMS
-from repro.mlpolyufc.characterization import characterize_units
-from repro.pipeline import get_constants
-from repro.poly.transforms import tile_and_parallelize
 
 # (row label, builder kwargs).  trisolv at n=1433 produces a 2mm-sized
 # trace (~4.1M accesses) while exercising deep-stack reference behaviour.
@@ -176,37 +171,6 @@ def line_ids_section(reps):
     }
 
 
-def workers_section(reps):
-    """Per-unit characterization: serial vs thread pool, same results."""
-    platform = PLATFORMS["rpl"]()
-    constants = get_constants(platform)
-    module = POLYBENCH_BUILDERS["2mm"]()
-    tiled, _ = tile_and_parallelize(module, tile_size=32)
-
-    def run(workers):
-        clear_memo()  # measure computation, not replay
-        return characterize_units(
-            tiled, platform, constants, workers=workers
-        )
-
-    serial_s, serial = time_call(lambda: run(1), reps)
-    pooled_s, pooled = time_call(lambda: run(4), reps)
-    assert [u.name for u in serial] == [u.name for u in pooled]
-    assert [u.cm for u in serial] == [u.cm for u in pooled]
-    print(
-        f"{'characterize 2mm':>20} units={len(serial)}  "
-        f"serial={serial_s:.3f}s  workers4={pooled_s:.3f}s"
-    )
-    return {
-        "module": "2mm (tiled)",
-        "units": len(serial),
-        "serial_s": round(serial_s, 4),
-        "workers4_s": round(pooled_s, 4),
-        "speedup": round(serial_s / pooled_s, 2) if pooled_s else None,
-        "deterministic": True,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -224,7 +188,6 @@ def main(argv=None):
     fast_reps = 1 if args.smoke else 2
     rows = cm_rows(cases, reps, fast_reps)
     sa_check = sa_regression_row()
-    workers = workers_section(1)
     line_ids = line_ids_section(reps)
 
     speedups = [row["speedup"] for row in rows]
@@ -243,7 +206,6 @@ def main(argv=None):
         "smoke": args.smoke,
         "rows": rows,
         "sa_crosscheck": sa_check,
-        "workers": workers,
         "line_ids": line_ids,
         "max_speedup": max(speedups),
         "max_symbolic_speedup": (

@@ -27,7 +27,6 @@ from repro.cache.static_model import (
 )
 from repro.cache.memo import (
     clear_memo,
-    memoized_cm,
     memoized_cm_with_note,
     memoized_trace,
     unit_fingerprint,
@@ -54,7 +53,6 @@ __all__ = [
     "CM_ENGINES",
     "resolve_engine",
     "clear_memo",
-    "memoized_cm",
     "memoized_cm_with_note",
     "memoized_trace",
     "unit_fingerprint",

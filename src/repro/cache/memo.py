@@ -10,13 +10,13 @@ This module gives those call sites content-addressed reuse:
   thread count, the parallel flag, the engine, and the trace budget.
 * :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`;
   :func:`lookup_trace` reads that LRU without generating or inserting.
-* :func:`memoized_cm` -- in-process LRU over the full trace+CM evaluation,
-  plus an optional on-disk layer (JSON per fingerprint) so results survive
-  across processes; point it at a directory via ``memo_dir=`` or
-  ``$REPRO_CM_MEMO_DIR``.
+* :func:`memoized_cm_with_note` -- in-process LRU over the full trace+CM
+  evaluation.
 
-Set ``REPRO_CM_MEMO=0`` to disable all reuse (every call recomputes);
-``REPRO_CM_MEMO_SIZE`` resizes the in-process LRUs (default 64 entries).
+Both LRUs hold :data:`MEMO_CAPACITY` entries and live only as long as the
+process: results that must outlive it belong in the service's
+``ResultStore``.  Set ``REPRO_CM_MEMO=0`` to disable all reuse (every
+call recomputes).
 """
 
 from __future__ import annotations
@@ -25,35 +25,25 @@ import hashlib
 import json
 import logging
 import os
-from collections import OrderedDict
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
-
 import threading
+from collections import OrderedDict
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.config import CacheHierarchy
 from repro.cache.static_model import (
     CacheModelResult,
-    LevelModelStats,
     polyufc_cm,
     resolve_engine,
 )
 from repro.cache.trace import AccessTrace, generate_trace
 from repro.ir.core import Module, Op
 from repro.ir.printer import print_module
-from repro.runtime import (
-    CacheCorruption,
-    Deadline,
-    EngineFailure,
-    TransientIOError,
-    atomic_write_json,
-    quarantine_file,
-    read_checked_json,
-)
+from repro.runtime import Deadline
 
 log = logging.getLogger("repro.runtime")
 
-#: Bump to invalidate every persisted fingerprint after model changes.
+#: Bump to invalidate every fingerprint (and every service digest, which
+#: folds it in) after model changes.
 #: v2: disk entries moved to the checksummed ``repro-envelope`` format.
 #: v3: the ``symbolic`` engine joined the dispatch and entries may carry
 #: a structured fallback note.
@@ -63,28 +53,21 @@ log = logging.getLogger("repro.runtime")
 MEMO_VERSION = 4
 
 _MEMO_ENV = "REPRO_CM_MEMO"
-_MEMO_DIR_ENV = "REPRO_CM_MEMO_DIR"
-_MEMO_SIZE_ENV = "REPRO_CM_MEMO_SIZE"
+
+#: Entries per in-process LRU (traces and CM results each).
+MEMO_CAPACITY = 64
 
 
 def memo_enabled() -> bool:
     return os.environ.get(_MEMO_ENV, "") != "0"
 
 
-def _memo_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get(_MEMO_SIZE_ENV, "64")))
-    except ValueError:
-        return 64
-
-
 class _LRU:
-    """A small thread-safe LRU map."""
+    """A small thread-safe LRU map of :data:`MEMO_CAPACITY` entries."""
 
-    def __init__(self, capacity_fn: Callable[[], int] = _memo_capacity):
+    def __init__(self):
         self._data: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._capacity_fn = capacity_fn
         self.hits = 0
         self.misses = 0
 
@@ -101,8 +84,7 @@ class _LRU:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            capacity = self._capacity_fn()
-            while len(self._data) > capacity:
+            while len(self._data) > MEMO_CAPACITY:
                 self._data.popitem(last=False)
 
     def clear(self) -> None:
@@ -227,78 +209,6 @@ def lookup_trace(
     return _trace_lru.get(trace_fingerprint(module, ops))
 
 
-def _cm_to_payload(cm: CacheModelResult) -> dict:
-    return {
-        "line_bytes": cm.line_bytes,
-        "total_accesses": cm.total_accesses,
-        "threads": cm.threads,
-        "levels": [
-            {
-                "name": lvl.name,
-                "accesses": lvl.accesses,
-                "cold_misses": lvl.cold_misses,
-                "capacity_conflict_misses": lvl.capacity_conflict_misses,
-            }
-            for lvl in cm.levels
-        ],
-    }
-
-
-def _cm_from_payload(payload: dict) -> CacheModelResult:
-    levels = tuple(
-        LevelModelStats(
-            name=lvl["name"],
-            accesses=lvl["accesses"],
-            cold_misses=lvl["cold_misses"],
-            capacity_conflict_misses=lvl["capacity_conflict_misses"],
-        )
-        for lvl in payload["levels"]
-    )
-    return CacheModelResult(
-        levels,
-        payload["line_bytes"],
-        payload["total_accesses"],
-        payload["threads"],
-    )
-
-
-def _resolve_memo_dir(memo_dir) -> Optional[Path]:
-    if memo_dir is None:
-        memo_dir = os.environ.get(_MEMO_DIR_ENV) or None
-    return Path(memo_dir) if memo_dir is not None else None
-
-
-_PAYLOAD_KEYS = ("line_bytes", "total_accesses", "threads", "levels")
-
-
-def _read_disk_entry(path: Path):
-    """One hardened disk-memo read: validated, quarantined on corruption.
-
-    Returns ``(cm, note)`` or ``None``; ``note`` is the optional
-    structured symbolic-fallback annotation stored alongside the counters.
-    """
-    try:
-        payload = read_checked_json(
-            path, fault_site="memo.read", required_keys=_PAYLOAD_KEYS
-        )
-        note = payload.get("note")
-        if note is not None and not isinstance(note, str):
-            raise TypeError(f"note must be a string, got {type(note).__name__}")
-        return _cm_from_payload(payload), note
-    except FileNotFoundError:
-        return None
-    except CacheCorruption:
-        return None  # already quarantined + logged by the reader
-    except (TransientIOError, EngineFailure) as exc:
-        log.warning("memo read of %s kept failing (%s); recomputing", path, exc)
-        return None
-    except (ValueError, KeyError, TypeError) as exc:
-        # Checksum passed but the payload shape drifted: quarantine too.
-        log.warning("memo entry %s has drifted schema (%s)", path, exc)
-        quarantine_file(path)
-        return None
-
-
 def _compute_cm(
     module: Module,
     ops: Optional[Sequence[Op]],
@@ -362,22 +272,19 @@ def memoized_cm_with_note(
     parallel: bool = False,
     engine: Optional[str] = None,
     max_accesses: int = 60_000_000,
-    memo_dir=None,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[CacheModelResult, Optional[str]]:
     """The trace+CM evaluation of one unit, memoized, with its note.
 
-    Layering: in-process LRU, then the on-disk JSON store (when a
-    directory is configured), then the real computation -- whose trace
+    Layering: in-process LRU, then the real computation -- whose trace
     goes through :func:`memoized_trace` so an immediately following
-    different-hierarchy request reuses it.  Disk entries are atomic,
-    checksummed and quarantined-on-corruption (``repro.runtime.io``);
-    a ``deadline`` interrupts the underlying computation at chunk
-    boundaries and nothing partial is ever cached.
+    different-hierarchy request reuses it.  A ``deadline`` interrupts
+    the computation at chunk boundaries and nothing partial is ever
+    cached.
 
     The second element is the structured symbolic-fallback note
-    (``None`` unless ``engine="symbolic"`` had to fall back), preserved
-    through both memo layers.
+    (``None`` unless ``engine="symbolic"`` had to fall back), cached
+    with the counters.
     """
     engine_name = resolve_engine(engine)
     if not memo_enabled():
@@ -391,45 +298,9 @@ def memoized_cm_with_note(
     cached = _cm_lru.get(key)
     if cached is not None:
         return cached
-    directory = _resolve_memo_dir(memo_dir)
-    path = directory / f"cm_{key}.json" if directory else None
-    if path is not None and path.exists():
-        entry = _read_disk_entry(path)
-        if entry is not None:
-            _cm_lru.put(key, entry)
-            return entry
-    cm, note = _compute_cm(
+    entry = _compute_cm(
         module, ops, hierarchy, threads, parallel, engine_name,
         max_accesses, deadline,
     )
-    _cm_lru.put(key, (cm, note))
-    if path is not None:
-        payload = _cm_to_payload(cm)
-        if note is not None:
-            payload["note"] = note
-        try:
-            atomic_write_json(path, payload, fault_site="memo.write")
-        except (TransientIOError, EngineFailure) as exc:
-            # Losing a memo entry costs a recompute later, never a crash.
-            log.warning("memo write of %s failed (%s); continuing", path, exc)
-    return cm, note
-
-
-def memoized_cm(
-    module: Module,
-    ops: Optional[Sequence[Op]],
-    hierarchy: CacheHierarchy,
-    threads: int = 1,
-    parallel: bool = False,
-    engine: Optional[str] = None,
-    max_accesses: int = 60_000_000,
-    memo_dir=None,
-    deadline: Optional[Deadline] = None,
-) -> CacheModelResult:
-    """:func:`memoized_cm_with_note` without the note (compat shim)."""
-    cm, _note = memoized_cm_with_note(
-        module, ops, hierarchy, threads=threads, parallel=parallel,
-        engine=engine, max_accesses=max_accesses, memo_dir=memo_dir,
-        deadline=deadline,
-    )
-    return cm
+    _cm_lru.put(key, entry)
+    return entry

@@ -245,8 +245,8 @@ def polyufc_cm(
     faults.fire("cm.engine")
     _check_deadline(deadline, "cm.engine")
     line_ids = trace.line_ids(hierarchy.line_bytes)
-    if engine == "symbolic":
-        # The symbolic engine is trace-free; once a trace has been
+    if engine in ("symbolic", "parametric"):
+        # Both engines are trace-free; once a trace has been
         # materialized (approximate rung, direct callers) the vectorized
         # trace evaluator is the right tool, so the name degrades to it.
         engine = "fast"

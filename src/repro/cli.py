@@ -35,11 +35,6 @@ def _add_platform(parser: argparse.ArgumentParser) -> None:
 
 def _add_cm_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="thread-pool width for per-unit cache analysis "
-        "(default: $REPRO_CM_WORKERS or serial)",
-    )
-    parser.add_argument(
         "--cm-engine", default=None, choices=list(CM_ENGINES),
         help="PolyUFC-CM evaluator (default: $REPRO_CM_ENGINE or fast)",
     )
@@ -162,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="scheduler pool width (default: $REPRO_CM_WORKERS or serial)",
+        help="jobs the scheduler runs at once (default: 1)",
     )
     serve.add_argument(
         "--executor", default=None, choices=["thread", "process"],
@@ -231,6 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--timeout", type=float, default=300.0, metavar="SECONDS",
         help="max seconds to wait for the batch (default: 300)",
+    )
+    submit.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="(local mode) jobs the scheduler runs at once (default: 1)",
     )
     _add_cm_knobs(submit)
 
@@ -327,7 +326,6 @@ def _cmd_characterize(
     kernel: str,
     platform_name: str,
     granularity: str,
-    workers: Optional[int] = None,
     cm_engine: Optional[str] = None,
     cm_timeout: Optional[float] = None,
 ) -> int:
@@ -335,7 +333,7 @@ def _cmd_characterize(
 
     report = kernel_report(
         kernel, platform_name, granularity=granularity,
-        workers=workers, cm_engine=cm_engine, cm_timeout_s=cm_timeout,
+        cm_engine=cm_engine, cm_timeout_s=cm_timeout,
     )
     print(
         f"{kernel} on {report.platform} ({granularity} granularity): "
@@ -354,7 +352,6 @@ def _cmd_compile(
     kernel: str,
     platform_name: str,
     objective: str,
-    workers: Optional[int] = None,
     cm_engine: Optional[str] = None,
     cm_timeout: Optional[float] = None,
 ) -> int:
@@ -369,8 +366,7 @@ def _cmd_compile(
     platform = get_platform(platform_name)
     result = polyufc_compile(
         get_benchmark(kernel).module(), platform, objective=objective,
-        workers=workers, cm_engine=cm_engine,
-        cm_timeout_s=resolve_timeout(cm_timeout),
+        cm_engine=cm_engine, cm_timeout_s=resolve_timeout(cm_timeout),
     )
     print(print_module(result.capped_module))
     for unit in result.units:
@@ -729,12 +725,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "characterize":
         return _cmd_characterize(
             args.kernel, args.platform, args.granularity,
-            args.workers, args.cm_engine, args.cm_timeout,
+            args.cm_engine, args.cm_timeout,
         )
     if args.command == "compile":
         return _cmd_compile(
             args.kernel, args.platform, args.objective,
-            args.workers, args.cm_engine, args.cm_timeout,
+            args.cm_engine, args.cm_timeout,
         )
     if args.command == "compare":
         return _cmd_compare(args.kernel, args.platform)

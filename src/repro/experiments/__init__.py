@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     baseline_comparison,
     frequency_sweep,
     kernel_report,
-    kernel_reports,
     cache_dir,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "baseline_comparison",
     "frequency_sweep",
     "kernel_report",
-    "kernel_reports",
     "cache_dir",
 ]

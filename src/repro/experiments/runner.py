@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -66,14 +65,11 @@ def kernel_report(
     epsilon: float = 1e-3,
     cap_overhead_factor: float = 50.0,
     use_cache: bool = True,
-    workers: Optional[int] = None,
     cm_engine: Optional[str] = None,
     cm_timeout_s: Optional[float] = None,
 ) -> KernelReport:
     """Compile one benchmark for one platform; results are store-backed.
 
-    ``workers`` tunes *how* the cache model runs (thread pool width); it
-    never changes the numbers and is not part of the content digest.
     ``cm_timeout_s`` (default ``$REPRO_CM_TIMEOUT_S``) bounds the
     PolyUFC-CM stage; reports containing degraded units are returned but
     never persisted (store policy), so a transient timeout cannot poison
@@ -100,45 +96,11 @@ def kernel_report(
     report = execute_report(
         spec,
         store=store if use_cache else None,
-        workers=workers,
         cm_timeout_s=resolve_timeout(cm_timeout_s),
     )
     if store is not None:
         store.put_report(spec, report)  # refuses degraded reports
     return report
-
-
-def kernel_reports(
-    benchmarks: List[str],
-    platform: str,
-    workers: Optional[int] = None,
-    **report_kwargs,
-) -> List[KernelReport]:
-    """``kernel_report`` over many benchmarks, optionally in parallel.
-
-    With ``workers > 1`` the per-kernel compile+simulate work fans across
-    a thread pool; the returned list always matches the input order.
-    Worker width resolution is shared with the per-unit pool
-    (:func:`repro.mlpolyufc.characterization.resolve_workers`).
-    """
-    from repro.mlpolyufc.characterization import resolve_workers
-
-    width = resolve_workers(workers)
-
-    if width > 1 and len(benchmarks) > 1:
-        # Per-kernel parallelism wins; keep each kernel's unit pool serial.
-        def one(benchmark: str) -> KernelReport:
-            return kernel_report(
-                benchmark, platform, workers=1, **report_kwargs
-            )
-
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            # map preserves input order -> deterministic result list.
-            return list(pool.map(one, benchmarks))
-    return [
-        kernel_report(benchmark, platform, workers=workers, **report_kwargs)
-        for benchmark in benchmarks
-    ]
 
 
 @dataclass

@@ -17,8 +17,6 @@ Sec. V parametric model.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,16 +160,6 @@ def _is_parallel_unit(ops: Sequence[Op]) -> bool:
     return False
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker-pool width: explicit arg > $REPRO_CM_WORKERS > serial."""
-    if workers is None:
-        try:
-            workers = int(os.environ.get("REPRO_CM_WORKERS", "1"))
-        except ValueError:
-            workers = 1
-    return max(1, workers)
-
-
 def fallback_cm(hierarchy: CacheHierarchy, threads: int) -> CacheModelResult:
     """The rung-3 stand-in: a zero-traffic CM result.
 
@@ -281,17 +269,15 @@ def characterize_units(
     threads: Optional[int] = None,
     set_associative: bool = True,
     max_trace_accesses: int = 60_000_000,
-    workers: Optional[int] = None,
     engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     cm_lookup=None,
 ) -> List[UnitCharacterization]:
-    """Characterize every capping unit of an affine module.
+    """Characterize every capping unit of an affine module, in order.
 
-    ``workers > 1`` fans the per-unit trace+CM work across a thread pool
-    (the heavy NumPy kernels release the GIL); results keep the module's
-    unit order regardless of completion order.  ``engine`` selects the CM
-    evaluator (see :data:`repro.cache.static_model.CM_ENGINES`).
+    Units run serially: job-level parallelism belongs to the service
+    scheduler.  ``engine`` selects the CM evaluator (see
+    :data:`repro.cache.static_model.CM_ENGINES`).
 
     ``cm_lookup`` (unit name -> :class:`CacheModelResult` or ``None``)
     short-circuits the per-unit CM evaluation -- the service's
@@ -307,7 +293,6 @@ def characterize_units(
     ``warning``, never a crashed pipeline.
     """
     threads = platform.threads if threads is None else threads
-    workers = resolve_workers(workers)
     hierarchy = (
         platform.hierarchy
         if set_associative
@@ -414,8 +399,4 @@ def characterize_units(
             cm_note=cm_note,
         )
 
-    if workers > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves input order -> deterministic results.
-            return list(pool.map(characterize_one, units))
     return [characterize_one(unit) for unit in units]

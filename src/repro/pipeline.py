@@ -135,7 +135,6 @@ def polyufc_compile(
     cm_timeout_s: Optional[float] = None,
     cap_overhead_factor: float = 50.0,
     verify: bool = True,
-    workers: Optional[int] = None,
     cm_engine: Optional[str] = None,
     cm_lookup=None,
 ) -> PolyUFCResult:
@@ -146,10 +145,9 @@ def polyufc_compile(
     artifact instead of evaluating an engine (see
     :func:`repro.mlpolyufc.characterization.characterize_units`).
 
-    ``workers`` fans per-unit cache analysis across a thread pool and
-    ``cm_engine`` selects the PolyUFC-CM evaluator (``fast`` or
-    ``reference``); both default to the ``REPRO_CM_WORKERS`` /
-    ``REPRO_CM_ENGINE`` environment knobs.
+    ``cm_engine`` selects the PolyUFC-CM evaluator, one of
+    :data:`repro.cache.static_model.CM_ENGINES` (default:
+    ``$REPRO_CM_ENGINE``, else ``fast``).
     """
     constants = constants if constants is not None else get_constants(platform)
     timings = StageTimings()
@@ -181,7 +179,6 @@ def polyufc_compile(
             granularity=granularity,
             threads=threads,
             set_associative=set_associative,
-            workers=workers,
             engine=cm_engine,
             deadline=deadline,
             cm_lookup=cm_lookup,

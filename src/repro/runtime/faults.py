@@ -1,16 +1,16 @@
 """Deterministic fault injection for the resilience layer.
 
 Every degradation path in the pipeline is reachable on purpose: the CM
-engines, the trace generator, the counting engine, the CM memo and the
-kernel-report cache each call :func:`fire` (or :func:`mangle`) at a
-**named site**, and a fault armed at that site makes the failure happen
-deterministically -- so the whole ladder is testable without pathological
-inputs.
+engines, the trace generator, the counting engine and the kernel-report
+cache each call :func:`fire` (or :func:`mangle`) at a **named site**,
+and a fault armed at that site makes the failure happen
+deterministically -- so the whole ladder is testable without
+pathological inputs.
 
 Arming
 ------
 * Environment: ``REPRO_FAULTS="site:kind[:arg][,site:kind[:arg]...]"``
-  (e.g. ``REPRO_FAULTS="memo.read:corrupt,cm.engine:fail:2"``).
+  (e.g. ``REPRO_FAULTS="report.read:corrupt,cm.engine:fail:2"``).
 * Programmatic: ``with inject("cm.chunk", "slow", arg=0.05): ...``
   (nested ``inject`` frames shadow the environment).
 
@@ -71,8 +71,6 @@ KNOWN_SITES = (
     "cm.engine",    # CM engine entry (repro.cache.static_model.polyufc_cm)
     "cm.chunk",     # per-chunk checkpoint inside both CM engines
     "cm.count",     # isllite exact-count scan loop
-    "memo.read",    # CM memo disk read
-    "memo.write",   # CM memo disk write
     "report.read",  # kernel-report cache read
     "report.write", # kernel-report cache write
     "service.worker",  # service pool-worker job entry (repro.service.pool)

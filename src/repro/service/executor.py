@@ -176,7 +176,6 @@ def _family_sample(spec, store, digest, artifact, sizes, result, info):
 def execute_report(
     spec: JobSpec,
     store=None,
-    workers: Optional[int] = None,
     cm_timeout_s: Optional[float] = None,
     family_info: Optional[dict] = None,
 ) -> KernelReport:
@@ -202,9 +201,9 @@ def execute_report(
     (``eligible``/``source``/``served_units``/``sampled``/``fitted``/
     ``poisoned``) so the scheduler can emit lifecycle events.
 
-    ``workers`` tunes the per-unit thread pool; ``cm_timeout_s``
-    overrides the spec's deadline (argument > spec > env, resolved via
-    :func:`repro.runtime.resolve_timeout`); neither changes any number.
+    ``cm_timeout_s`` overrides the spec's deadline (argument > spec >
+    env, resolved via :func:`repro.runtime.resolve_timeout`); it never
+    changes an exact number.
     """
     spec.validate()
     if cm_timeout_s is None:
@@ -238,7 +237,6 @@ def execute_report(
         epsilon=spec.epsilon,
         set_associative=spec.set_associative,
         cap_overhead_factor=spec.cap_overhead_factor,
-        workers=workers,
         cm_engine=spec.engine,
         cm_timeout_s=cm_timeout_s,
         cm_lookup=served.get if served is not None else None,

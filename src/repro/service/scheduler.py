@@ -62,7 +62,6 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.mlpolyufc.characterization import resolve_workers
 from repro.mlpolyufc.reports import KernelReport
 from repro.runtime import EngineFailure, resolve_timeout
 from repro.runtime.errors import (
@@ -148,7 +147,8 @@ class Scheduler:
     ):
         self.store = store
         self.sink = sink if sink is not None else ListSink()
-        self.width = resolve_workers(workers)
+        #: Jobs run at once -- the only parallelism in the pipeline.
+        self.width = max(1, workers or 1)
         self.default_timeout_s = cm_timeout_s
         self.shard_map = resolve_shard_map(shard_map)
         # The map *is* the shard identity: slot order decides where
@@ -487,10 +487,7 @@ class Scheduler:
     ) -> KernelReport:
         """One pipeline execution on the local backend (also the
         federation failover slot)."""
-        inner_workers = 1 if self.width > 1 else None
-        return self._backend.run(
-            spec, self.store, inner_workers, timeout, family_info
-        )
+        return self._backend.run(spec, self.store, timeout, family_info)
 
     def _emit_family(self, job: Job, info: dict) -> None:
         """Emit parametric-family lifecycle events from executor info.

@@ -25,6 +25,7 @@ only in those knobs share the expensive trace + simulation work.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -40,6 +41,11 @@ SPEC_VERSION = 1
 
 OBJECTIVES = ("edp", "energy", "performance")
 PLATFORM_NAMES = ("rpl", "bdw")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """``isinstance(value, kind)``, except that a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def shard_for(digest: str, shards: int) -> int:
@@ -154,19 +160,30 @@ class JobSpec:
                 f"unknown engine {self.engine!r}; "
                 f"expected one of {CM_ENGINES}"
             )
-        if not isinstance(self.tile_size, int) or self.tile_size <= 0:
+        if not isinstance(self.set_associative, bool):
+            raise ValueError(f"set_associative must be a bool, "
+                             f"got {self.set_associative!r}")
+        if not _is_number(self.tile_size, int) or self.tile_size <= 0:
             raise ValueError(f"tile_size must be a positive int, "
                              f"got {self.tile_size!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
-        if not self.cap_overhead_factor >= 0:
+        if not _is_number(self.epsilon) or not self.epsilon > 0:
             raise ValueError(
-                f"cap_overhead_factor must be >= 0, "
+                f"epsilon must be a number > 0, got {self.epsilon!r}"
+            )
+        if (
+            not _is_number(self.cap_overhead_factor)
+            or not self.cap_overhead_factor >= 0
+        ):
+            raise ValueError(
+                f"cap_overhead_factor must be a number >= 0, "
                 f"got {self.cap_overhead_factor!r}"
             )
-        if self.cm_timeout_s is not None and self.cm_timeout_s < 0:
+        if self.cm_timeout_s is not None and (
+            not _is_number(self.cm_timeout_s) or self.cm_timeout_s < 0
+        ):
             raise ValueError(
-                f"cm_timeout_s must be >= 0, got {self.cm_timeout_s!r}"
+                f"cm_timeout_s must be a number >= 0, "
+                f"got {self.cm_timeout_s!r}"
             )
         if self.sizes:
             size_names = set(REGISTRY[self.benchmark].size_names)

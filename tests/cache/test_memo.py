@@ -1,6 +1,5 @@
 """Tests for the trace/CM memoization layer."""
 
-import numpy as np
 import pytest
 
 from repro.benchsuite.polybench import POLYBENCH_BUILDERS
@@ -9,12 +8,13 @@ from repro.cache import (
     CacheLevelConfig,
     clear_memo,
     generate_trace,
-    memoized_cm,
+    memoized_cm_with_note,
     memoized_trace,
     polyufc_cm,
     unit_fingerprint,
 )
-from repro.cache.memo import _cm_lru, _trace_lru
+from repro.cache import memo
+from repro.cache.memo import _cm_lru
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +30,12 @@ def hier(lines=8, assoc=2):
 
 def module():
     return POLYBENCH_BUILDERS["gemm"](ni=8, nj=6, nk=5)
+
+
+def memo_cm(*args, **kwargs):
+    """The memoized counters without the engine note."""
+    cm, _note = memoized_cm_with_note(*args, **kwargs)
+    return cm
 
 
 class TestFingerprint:
@@ -56,9 +62,9 @@ class TestFingerprint:
 
 class TestInProcessMemo:
     def test_cm_reused(self):
-        result_a = memoized_cm(module(), None, hier())
+        result_a = memo_cm(module(), None, hier())
         hits_before = _cm_lru.hits
-        result_b = memoized_cm(module(), None, hier())
+        result_b = memo_cm(module(), None, hier())
         assert result_a == result_b
         assert _cm_lru.hits == hits_before + 1
 
@@ -70,51 +76,26 @@ class TestInProcessMemo:
     def test_matches_unmemoized(self):
         mod = module()
         direct = polyufc_cm(generate_trace(mod), hier())
-        assert memoized_cm(mod, None, hier()) == direct
+        assert memo_cm(mod, None, hier()) == direct
 
     def test_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        memoized_cm(module(), None, hier())
-        memoized_cm(module(), None, hier())
+        memo_cm(module(), None, hier())
+        memo_cm(module(), None, hier())
         assert _cm_lru.hits == 0 and _cm_lru.misses == 0
 
     def test_distinct_requests_not_conflated(self):
-        serial = memoized_cm(module(), None, hier())
-        threaded = memoized_cm(
+        serial = memo_cm(module(), None, hier())
+        threaded = memo_cm(
             module(), None, hier(), threads=4, parallel=True
         )
         assert serial.threads != threaded.threads
 
 
-class TestDiskMemo:
-    def test_roundtrip_through_disk(self, tmp_path):
-        first = memoized_cm(module(), None, hier(), memo_dir=tmp_path)
-        assert list(tmp_path.glob("cm_*.json"))
-        clear_memo()
-        again = memoized_cm(module(), None, hier(), memo_dir=tmp_path)
-        assert first == again
-        # the reload was served from disk, not recomputed: the trace LRU
-        # never saw a request
-        assert _trace_lru.misses == 0
-
-    def test_corrupt_entry_recomputed(self, tmp_path):
-        memoized_cm(module(), None, hier(), memo_dir=tmp_path)
-        for path in tmp_path.glob("cm_*.json"):
-            path.write_text("{not json")
-        clear_memo()
-        result = memoized_cm(module(), None, hier(), memo_dir=tmp_path)
-        assert result == polyufc_cm(generate_trace(module()), hier())
-
-    def test_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_MEMO_DIR", str(tmp_path))
-        memoized_cm(module(), None, hier())
-        assert list(tmp_path.glob("cm_*.json"))
-
-
 class TestLruBounds:
     def test_capacity_evicts_oldest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_MEMO_SIZE", "2")
+        monkeypatch.setattr(memo, "MEMO_CAPACITY", 2)
         hierarchies = [hier(lines=4 * (i + 1)) for i in range(3)]
         for h in hierarchies:
-            memoized_cm(module(), None, h)
+            memo_cm(module(), None, h)
         assert len(_cm_lru._data) == 2

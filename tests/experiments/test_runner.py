@@ -7,7 +7,6 @@ from repro.experiments.runner import (
     baseline_comparison,
     frequency_sweep,
     kernel_report,
-    kernel_reports,
 )
 
 KERNEL = "atax"  # small enough to compile from scratch in a test
@@ -80,12 +79,6 @@ def test_kernel_report_shape(cache_dir):
     for unit in report.units:
         assert unit.cap_ghz > 0
         assert len(unit.level_accesses_hw) == len(unit.model_level_bytes)
-
-
-def test_kernel_reports_preserves_input_order(cache_dir):
-    names = ["atax", "bicg"]
-    reports = kernel_reports(names, "rpl", workers=2)
-    assert [r.benchmark for r in reports] == names
 
 
 def test_baseline_comparison_reports_positive_gains(cache_dir):

@@ -1,14 +1,10 @@
-"""Parallel unit characterization must be deterministic."""
+"""Edge-case units characterize cleanly and deterministically."""
 
 import pytest
 
-from repro.benchsuite import get_benchmark
 from repro.cache.memo import clear_memo
 from repro.hw import get_platform
-from repro.mlpolyufc.characterization import (
-    characterize_units,
-    resolve_workers,
-)
+from repro.mlpolyufc.characterization import characterize_units
 from repro.pipeline import get_constants
 
 
@@ -17,25 +13,6 @@ def fresh_memo():
     clear_memo()
     yield
     clear_memo()
-
-
-def test_workers_preserve_order_and_results():
-    platform = get_platform("rpl")
-    constants = get_constants(platform)
-    module = get_benchmark("2mm").module()
-    from repro.poly.transforms import tile_and_parallelize
-
-    tiled, _ = tile_and_parallelize(module, tile_size=32)
-    serial = characterize_units(tiled, platform, constants, workers=1)
-    clear_memo()  # make the parallel run recompute, not replay
-    parallel = characterize_units(tiled, platform, constants, workers=4)
-    assert len(serial) > 1, "need a multi-unit kernel for this test"
-    assert [u.name for u in serial] == [u.name for u in parallel]
-    for left, right in zip(serial, parallel):
-        assert left.cm == right.cm
-        assert left.omega == right.omega
-        assert left.parallel == right.parallel
-        assert str(left.boundedness) == str(right.boundedness)
 
 
 def _edge_nest(extent_i: int, extent_j: int):
@@ -59,8 +36,7 @@ def test_empty_iteration_domain_characterizes_compute_bound():
     """Zero-trip nests must yield a clean unit, not a crash or a NaN.
 
     With no billable traffic the unit characterizes compute-bound with
-    infinite OI and an all-zero cache model, on every engine and worker
-    width.
+    infinite OI and an all-zero cache model, on every engine.
     """
     platform = get_platform("rpl")
     constants = get_constants(platform)
@@ -80,25 +56,16 @@ def test_empty_iteration_domain_characterizes_compute_bound():
 
 
 def test_single_iteration_nest_is_deterministic_across_workers():
+    """Units run serially; a recompute on a cold memo matches the
+    first run, so service workers that both compute it agree."""
     platform = get_platform("rpl")
     constants = get_constants(platform)
     module = _edge_nest(1, 1)
-    serial = characterize_units(module, platform, constants, workers=1)
+    first = characterize_units(module, platform, constants)
     clear_memo()
-    parallel = characterize_units(module, platform, constants, workers=4)
-    assert len(serial) == len(parallel) == 1
-    assert serial[0].cm == parallel[0].cm
-    assert serial[0].omega == parallel[0].omega == 1
-    assert serial[0].cm.total_accesses == 2  # one load + one store
-    assert serial[0].degraded == "exact"
-
-
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("REPRO_CM_WORKERS", "5")
-    assert resolve_workers() == 5
-    monkeypatch.setenv("REPRO_CM_WORKERS", "nope")
-    assert resolve_workers() == 1
-    monkeypatch.delenv("REPRO_CM_WORKERS")
-    assert resolve_workers() == 1
+    again = characterize_units(module, platform, constants)
+    assert len(first) == len(again) == 1
+    assert first[0].cm == again[0].cm
+    assert first[0].omega == again[0].omega == 1
+    assert first[0].cm.total_accesses == 2  # one load + one store
+    assert first[0].degraded == "exact"

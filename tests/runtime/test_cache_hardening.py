@@ -179,51 +179,21 @@ class TestMemoHardening:
         )
         return module, hierarchy
 
-    def test_corrupted_memo_entry_recomputes(self, tmp_path, monkeypatch):
-        from repro.cache.memo import clear_memo, memoized_cm
-
-        monkeypatch.setenv("REPRO_CM_MEMO", "1")
-        clear_memo()
-        module, hierarchy = self.small_inputs()
-        memo_dir = tmp_path / "memo"
-        fresh = memoized_cm(module, None, hierarchy, memo_dir=memo_dir)
-        entries = list(memo_dir.glob("cm_*.json"))
-        assert len(entries) == 1
-        entries[0].write_text("garbage" + entries[0].read_text()[:40])
-        clear_memo()  # force the disk layer
-        recomputed = memoized_cm(module, None, hierarchy, memo_dir=memo_dir)
-        assert recomputed == fresh
-        assert list(memo_dir.glob("*.corrupt"))
-
-    def test_corrupting_write_fault_roundtrip(self, tmp_path, monkeypatch):
-        from repro.cache.memo import clear_memo, memoized_cm
-
-        monkeypatch.setenv("REPRO_CM_MEMO", "1")
-        clear_memo()
-        module, hierarchy = self.small_inputs()
-        memo_dir = tmp_path / "memo"
-        with faults.inject("memo.write", "corrupt"):
-            fresh = memoized_cm(module, None, hierarchy, memo_dir=memo_dir)
-        clear_memo()
-        # The poisoned entry must be detected, quarantined and recomputed.
-        recomputed = memoized_cm(module, None, hierarchy, memo_dir=memo_dir)
-        assert recomputed == fresh
-        assert list(memo_dir.glob("*.corrupt"))
-
-    def test_concurrent_memoized_cm_writers(self, tmp_path, monkeypatch):
-        from repro.cache.memo import clear_memo, memoized_cm
+    def test_concurrent_memoized_cm_writers(self, monkeypatch):
+        from repro.cache.memo import (
+            _cm_lru,
+            clear_memo,
+            memoized_cm_with_note,
+        )
 
         monkeypatch.setenv("REPRO_CM_MEMO", "1")
         module, hierarchy = self.small_inputs()
-        memo_dir = tmp_path / "memo"
         results = [None] * 6
         barrier = threading.Barrier(6)
 
         def worker(i):
             barrier.wait()
-            results[i] = memoized_cm(
-                module, None, hierarchy, memo_dir=memo_dir
-            )
+            results[i] = memoized_cm_with_note(module, None, hierarchy)
 
         clear_memo()
         threads = [
@@ -234,7 +204,7 @@ class TestMemoHardening:
         for thread in threads:
             thread.join()
         assert all(result == results[0] for result in results)
-        assert len(list(memo_dir.glob("cm_*.json"))) == 1
+        assert len(_cm_lru._data) == 1
 
 
 class TestReportCacheHardening:

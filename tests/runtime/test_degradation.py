@@ -126,6 +126,34 @@ class TestLadder:
         assert not result.fully_exact
         assert "injected engine fault" in result.units[0].warning
 
+    def test_parametric_approx_rung_runs_the_fast_engine(
+        self, platform, constants, monkeypatch
+    ):
+        from repro.cache import static_model
+
+        monkeypatch.setenv("REPRO_CM_MEMO", "0")
+        reference_calls = []
+        reference_level = static_model._model_level
+
+        def spy(lines, writes, config, **kwargs):
+            reference_calls.append(config.name)
+            return reference_level(lines, writes, config, **kwargs)
+
+        monkeypatch.setattr(static_model, "_model_level", spy)
+        units = {}
+        for engine in ("fast", "parametric"):
+            with faults.inject("cm.engine", "fail", arg=1):
+                units[engine] = characterize_units(
+                    tiled_gemm(32), platform, constants, engine=engine
+                )
+        assert [unit.degraded for unit in units["parametric"]] == [
+            "approx", "exact"
+        ]
+        assert not reference_calls
+        assert [unit.cm for unit in units["parametric"]] == [
+            unit.cm for unit in units["fast"]
+        ]
+
     def test_exact_runs_report_exact(self, platform, constants):
         result = polyufc_compile(small_gemm(), platform, constants=constants)
         assert result.fully_exact

@@ -12,24 +12,17 @@ import pytest
 from repro.cache.memo import clear_memo
 from repro.runtime.faults import KNOWN_SITES
 
-# (site, kind, needs_memo): memo-site cases keep memoization on (pointed
-# at a fresh dir) and disable the report cache so the memo layer is
-# actually reached on the warm pass; cm/report cases disable memoization
-# so the engines recompute and fire.
+# Memoization stays off so the engines recompute and fire on both passes.
 CASES = [
-    ("cm.trace", "fail", False),
-    ("cm.engine", "fail", False),
-    ("cm.chunk", "fail", False),
-    ("cm.chunk", "slow:0.01", False),
-    ("cm.count", "fail", False),
-    ("memo.read", "corrupt", True),
-    ("memo.read", "fail", True),
-    ("memo.write", "io", True),
-    ("memo.write", "corrupt", True),
-    ("report.read", "corrupt", False),
-    ("report.read", "io", False),
-    ("report.write", "io", False),
-    ("report.write", "fail", False),
+    ("cm.trace", "fail"),
+    ("cm.engine", "fail"),
+    ("cm.chunk", "fail"),
+    ("cm.chunk", "slow:0.01"),
+    ("cm.count", "fail"),
+    ("report.read", "corrupt"),
+    ("report.read", "io"),
+    ("report.write", "io"),
+    ("report.write", "fail"),
 ]
 
 
@@ -42,31 +35,25 @@ SERVICE_SITES = {"service.worker", "service.remote"}
 
 
 def test_every_site_is_covered():
-    assert {site for site, _, _ in CASES} == set(KNOWN_SITES) - SERVICE_SITES
+    assert {site for site, _ in CASES} == set(KNOWN_SITES) - SERVICE_SITES
 
 
 @pytest.mark.parametrize(
-    "site,kind,needs_memo",
+    "site,kind",
     CASES,
-    ids=[f"{site}:{kind.split(':')[0]}" for site, kind, _ in CASES],
+    ids=[f"{site}:{kind.split(':')[0]}" for site, kind in CASES],
 )
 def test_armed_fault_never_crashes_kernel_report(
-    tmp_path, monkeypatch, site, kind, needs_memo
+    tmp_path, monkeypatch, site, kind
 ):
     from repro.experiments import kernel_report
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "reports"))
-    if needs_memo:
-        monkeypatch.setenv("REPRO_CM_MEMO", "1")
-        monkeypatch.setenv("REPRO_CM_MEMO_DIR", str(tmp_path / "memo"))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    else:
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
+    monkeypatch.setenv("REPRO_CM_MEMO", "0")
     clear_memo()
     monkeypatch.setenv("REPRO_FAULTS", f"{site}:{kind}")
 
     cold = kernel_report("doitgen", "rpl", cm_timeout_s=5.0)
-    clear_memo()  # drop the in-process LRU so disk layers are consulted
     warm = kernel_report("doitgen", "rpl", cm_timeout_s=5.0)
 
     for report in (cold, warm):

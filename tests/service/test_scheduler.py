@@ -1,4 +1,7 @@
-"""Scheduler: coalescing, cache hits, degradation policy, failures."""
+"""Scheduler: coalescing, cache hits, degradation policy, failures,
+width."""
+
+import threading
 
 import pytest
 
@@ -134,6 +137,49 @@ def test_failed_jobs_surface_the_error_and_release_the_slot(
         with pytest.raises(RuntimeError):
             retry.result(60)
         assert sched.status(retry.job_id)["coalesced_into"] is None
+    finally:
+        sched.shutdown()
+
+
+@pytest.mark.parametrize("workers,concurrent", [(2, True), (1, False)])
+def test_width_runs_that_many_jobs_at_once(monkeypatch, workers, concurrent):
+    from repro.mlpolyufc.reports import KernelReport
+    from repro.service import ServiceClient
+
+    barrier = threading.Barrier(2, timeout=2.0)
+
+    def rendezvous(spec, **kwargs):
+        barrier.wait()  # passes only while both jobs run at once
+        return KernelReport(
+            benchmark=spec.benchmark, platform=spec.platform,
+            granularity=spec.granularity, objective=spec.objective,
+            set_associative=spec.set_associative,
+        )
+
+    monkeypatch.setattr(
+        "repro.service.executor.execute_report", rendezvous
+    )
+    specs = [
+        JobSpec(benchmark=KERNEL, objective=objective)
+        for objective in ("edp", "energy")
+    ]
+    with ServiceClient(
+        store=False, executor="thread", workers=workers
+    ) as client:
+        jobs = client.submit_batch(specs)
+        if concurrent:
+            reports = client.wait_all(jobs, timeout=60)
+            assert [r.objective for r in reports] == ["edp", "energy"]
+        else:
+            for job in jobs:
+                with pytest.raises(threading.BrokenBarrierError):
+                    job.result(60)
+
+
+def test_width_is_clamped_to_one():
+    sched = Scheduler(store=None, workers=0)
+    try:
+        assert sched.width == 1
     finally:
         sched.shutdown()
 

@@ -106,6 +106,45 @@ def test_validate_rejects_malformed_fields(kwargs):
         JobSpec(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tile_size": True},
+        {"epsilon": True},
+        {"set_associative": "no"},
+        {"epsilon": "0.01"},
+        {"cap_overhead_factor": "50"},
+        {"cm_timeout_s": "5"},
+    ],
+    ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()),
+)
+def test_from_json_rejects_mistyped_fields(fields):
+    with pytest.raises(ValueError):
+        JobSpec.from_json({"benchmark": "atax", **fields})
+
+
+def test_type_checks_keep_valid_digests(monkeypatch):
+    # Versions frozen so the pins only move if the recipe or a field's
+    # canonical form does.
+    monkeypatch.setattr(
+        "repro.service.spec.model_versions",
+        lambda: {"spec": 1, "report": 1, "memo": 1, "envelope": 1},
+    )
+    default = JobSpec.from_json({"benchmark": "atax"})
+    full = JobSpec.from_json({
+        "benchmark": "gemm", "platform": "bdw", "granularity": "affine",
+        "objective": "energy", "set_associative": False, "tile_size": 16,
+        "epsilon": 0.01, "cap_overhead_factor": 10, "engine": "reference",
+        "sizes": {"ni": 40}, "cm_timeout_s": 2,
+    })
+    assert default.digest() == (
+        "9de2d3e01dad0d71a1b57f2b613ff3ded3d218916b63b26d20188f1a85806a8e"
+    )
+    assert full.digest() == (
+        "24084151cd664dd6366c6ff2f1f59a7ace6055bc57e67882851f924814e69e59"
+    )
+
+
 def test_from_json_roundtrip_and_strictness():
     spec = JobSpec(benchmark="atax", objective="energy", epsilon=1e-2)
     assert JobSpec.from_json(spec.to_json()) == spec
