@@ -31,6 +31,7 @@ def test_random_cases_produce_no_disagreements(index):
 def test_all_checks_run_on_every_case():
     result = run_case(generate_spec(0, 0))
     assert set(result.checks_run) >= {
+        "trace-diff",
         "engine-diff",
         "oi-verdict",
         "memo-note",
@@ -67,6 +68,26 @@ def test_simulator_arm_trips_on_a_drifting_simulator(monkeypatch):
     details = [d.detail for d in result.disagreements]
     assert any(d.startswith("SA level ") for d in details)
     assert any(d.startswith("FA level ") for d in details)
+
+
+def test_trace_arm_trips_on_a_drifting_walker(monkeypatch):
+    from repro.verify import oracle
+
+    honest = oracle.reference_generate_trace
+
+    def last_offset_off_by_one(module, **kwargs):
+        trace = honest(module, **kwargs)
+        trace.offsets[-1] += 1
+        return trace
+
+    monkeypatch.setattr(
+        oracle, "reference_generate_trace", last_offset_off_by_one
+    )
+    result = run_case(generate_spec(0, 0))
+    assert {d.check for d in result.disagreements} == {"trace-diff"}
+    details = [d.detail for d in result.disagreements]
+    assert any(d.startswith("full trace: offsets differ") for d in details)
+    assert any("-access prefix: offsets differ" in d for d in details)
 
 
 def test_symbolic_supportedness_is_recorded():
