@@ -109,8 +109,8 @@ def check_event_invariants(counts: dict) -> None:
     """The quiesced stream must balance (see docs/SERVICE.md).
 
     Only the lifecycle kinds participate: informational events
-    (``degraded``, ``failover``) ride inside a normal lifecycle and
-    never unbalance the ledger.
+    (``queued``, ``degraded``, the ``family_*`` kinds) ride inside a
+    normal lifecycle and never unbalance the ledger.
     """
     submitted = counts.get("submitted", 0)
     terminal = (

@@ -174,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max in-flight jobs per client (default: unlimited)",
     )
     serve.add_argument(
-        "--shard-map", default=None, metavar="PATH_OR_JSON",
-        help="cross-host shard map: a JSON file (or inline JSON) whose "
-        "'shards' list assigns each slot to 'local' or a remote "
-        "http(s) endpoint; jobs are forwarded one by one over /v1/jobs "
-        "(default: $REPRO_SHARD_MAP; see docs/SERVICE.md \"Cross-host "
-        "deployment\")",
-    )
-    serve.add_argument(
         "--once", action="store_true",
         help="handle exactly one request then exit (smoke tests)",
     )
@@ -523,7 +515,6 @@ def _cmd_serve(args) -> int:
         executor=args.executor,
         max_pending=args.max_pending,
         client_quota=args.client_quota,
-        shard_map=args.shard_map,
     )
 
 
@@ -678,14 +669,6 @@ def _cmd_query(args) -> int:
             print(f"error: {body.get('error', body)}", file=sys.stderr)
             return 2 if code == 400 else 1
         rows = body["rows"]
-        if body.get("partial"):
-            unavailable = body.get("unavailable", [])
-            print(
-                f"warning: partial results -- {len(unavailable)} "
-                f"federated shard(s) unavailable "
-                f"({', '.join(row.get('url', '?') for row in unavailable)})",
-                file=sys.stderr,
-            )
     else:
         from repro.service.store import ResultStore
 

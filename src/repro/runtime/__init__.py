@@ -17,11 +17,9 @@ Three cooperating pieces (see ``docs/ROBUSTNESS.md``):
 from repro.runtime.deadline import Deadline, check, resolve_timeout
 from repro.runtime.errors import (
     CacheCorruption,
-    CircuitOpenError,
     DeadlineExceeded,
     EngineFailure,
     FaultConfigError,
-    RemoteShardError,
     ReproError,
     TransientIOError,
 )
@@ -31,7 +29,6 @@ from repro.runtime.faults import (
     fire,
     inject,
     mangle,
-    network_garbage,
 )
 from repro.runtime.io import (
     atomic_write_json,
@@ -49,15 +46,12 @@ __all__ = [
     "CacheCorruption",
     "EngineFailure",
     "TransientIOError",
-    "RemoteShardError",
-    "CircuitOpenError",
     "FaultConfigError",
     "KNOWN_SITES",
     "armed",
     "fire",
     "inject",
     "mangle",
-    "network_garbage",
     "atomic_write_json",
     "read_checked_json",
     "quarantine_file",

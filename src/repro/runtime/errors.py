@@ -16,18 +16,6 @@ around is a :class:`ReproError` subclass, so call sites can write one
   of aborting the kernel.
 * :class:`TransientIOError` -- a retryable I/O failure surfaced by the
   hardened disk layers after the bounded retry/backoff budget ran out.
-  The remote-shard client reuses it for a forward whose per-attempt
-  retry budget is exhausted, so callers have one class for "a bounded
-  retry loop gave up".
-* :class:`RemoteShardError` -- one attempt to talk to a remote shard
-  failed at the transport or protocol level (connection refused/reset,
-  timeout, undecodable payload, HTTP 5xx).  Individually retryable for
-  idempotent operations; the federation layer counts them toward a
-  shard's circuit breaker.
-* :class:`CircuitOpenError` -- a remote shard's circuit breaker is open;
-  no request was attempted.  The scheduler's failover path treats it
-  like an exhausted retry budget (recompute locally), but it is *not* a
-  breaker-counted failure -- the breaker already knows.
 * :class:`FaultConfigError` -- a malformed ``REPRO_FAULTS`` spec; raised
   eagerly at parse time (configuration bugs must never masquerade as
   injected faults).
@@ -70,21 +58,6 @@ class EngineFailure(ReproError):
 
 class TransientIOError(ReproError):
     """Retryable I/O kept failing after the bounded retry budget."""
-
-
-class RemoteShardError(ReproError):
-    """One remote-shard request failed (transport or protocol level).
-
-    ``url`` names the endpoint for breaker bookkeeping and logs.
-    """
-
-    def __init__(self, message: str, url: str = ""):
-        super().__init__(message)
-        self.url = url
-
-
-class CircuitOpenError(RemoteShardError):
-    """A remote shard's circuit breaker refused the request outright."""
 
 
 class FaultConfigError(ReproError):

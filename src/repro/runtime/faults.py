@@ -27,21 +27,6 @@ Kinds
   segfaulted service pool worker; arm only at sites that run inside
   worker processes, e.g. ``service.worker``).
 
-Network kinds (meaningful at transport seams, e.g. ``service.remote``
-inside the federation HTTP client -- the whole remote failure matrix is
-testable without real sockets):
-
-* ``refuse``      -- raise :class:`ConnectionRefusedError` (the far host
-  is down or the port is closed; seen before any bytes move).
-* ``timeout``     -- raise :class:`TimeoutError` (the per-attempt socket
-  timeout expired; indistinguishable from a hung server).
-* ``droppedconn`` -- raise :class:`ConnectionResetError` (the peer died
-  mid-exchange; models a shard killed while serving).
-* ``garbage``     -- the transport "receives" an undecodable payload
-  instead of performing the real exchange (acts through
-  :func:`network_garbage` at the data path, like ``corrupt`` does
-  through :func:`mangle`).
-
 The optional ``arg`` is kind-dependent: for ``slow`` it is the sleep in
 seconds; for the other kinds an integer ``n >= 1`` fires only the first
 ``n`` calls (transient faults), a float ``0 < p < 1`` fires with
@@ -74,14 +59,9 @@ KNOWN_SITES = (
     "report.read",  # kernel-report cache read
     "report.write", # kernel-report cache write
     "service.worker",  # service pool-worker job entry (repro.service.pool)
-    "service.remote",  # federation HTTP transport seam (repro.service.federation)
 )
 
-KINDS = (
-    "fail", "io", "slow", "corrupt", "die",
-    # network kinds (transport seams only)
-    "refuse", "timeout", "droppedconn", "garbage",
-)
+KINDS = ("fail", "io", "slow", "corrupt", "die")
 
 _DEFAULT_SLOW_S = 0.05
 
@@ -230,36 +210,6 @@ def fire(site: str) -> None:
         # the main process kills the whole run, which is on the arming
         # test to avoid.
         os._exit(23)
-    if kind == "refuse":
-        raise ConnectionRefusedError(
-            f"injected connection refusal at {site}"
-        )
-    if kind == "timeout":
-        raise TimeoutError(f"injected network timeout at {site}")
-    if kind == "droppedconn":
-        raise ConnectionResetError(
-            f"injected dropped connection at {site}"
-        )
-    # "corrupt" and "garbage" are data-path faults; nothing to do at a
-    # control point.
-
-
-def network_garbage(site: str) -> Optional[str]:
-    """The undecodable payload a ``garbage`` fault delivers, if armed.
-
-    Transport seams call this right where they would read the real
-    response body; a non-``None`` return replaces that body wholesale
-    (the exchange "succeeded" but the bytes are trash -- a half-written
-    response, a proxy error page, a protocol mismatch).
-    """
-    found = _lookup(site)
-    if (
-        found is None
-        or found.spec.kind != "garbage"
-        or not found.should_fire()
-    ):
-        return None
-    return '\x00<garbage>{"not json'
 
 
 def mangle(site: str, text: str) -> str:

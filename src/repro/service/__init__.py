@@ -6,8 +6,7 @@ entrypoint shares (see ``docs/SERVICE.md``):
 
 * :mod:`repro.service.spec` -- :class:`JobSpec` and the canonical
   content digests (kernel, platform, objective, epsilon, engine, model
-  versions) that key the store, plus the consistent digest -> shard-map
-  slot routing (:func:`shard_for`).
+  versions) that key the store.
 * :mod:`repro.service.store` -- the hardened, content-addressed
   :class:`ResultStore` (reports + shared hardware workloads + queryable
   index).
@@ -26,12 +25,6 @@ entrypoint shares (see ``docs/SERVICE.md``):
   the streaming batch API (:meth:`ServiceClient.stream_batch`).
 * :mod:`repro.service.http` -- the stdlib-only HTTP/JSON front behind
   ``repro.cli serve``.
-* :mod:`repro.service.federation` -- cross-host shard federation: the
-  shard-map config (``REPRO_SHARD_MAP`` / ``serve --shard-map``), the
-  hardened :class:`RemoteShardClient` (retry/backoff, idempotent-only
-  resubmission), per-slot :class:`CircuitBreaker`\\ s, the async
-  :class:`HealthChecker`, and the local-failover ladder the scheduler
-  drives (``failover`` events, ``served_by`` attribution).
 """
 
 from repro.service.client import ServiceClient, resolve_store
@@ -45,16 +38,6 @@ from repro.service.events import (
     TeeSink,
 )
 from repro.service.executor import execute_report
-from repro.service.federation import (
-    CircuitBreaker,
-    FederationPolicy,
-    HealthChecker,
-    RemoteShard,
-    RemoteShardClient,
-    ShardMap,
-    ShardSlot,
-    resolve_shard_map,
-)
 from repro.service.http import make_server, request_json, serve
 from repro.service.pool import EXECUTOR_KINDS, resolve_executor
 from repro.service.scheduler import (
@@ -69,7 +52,6 @@ from repro.service.spec import (
     SPEC_VERSION,
     JobSpec,
     model_versions,
-    shard_for,
 )
 from repro.service.store import ResultStore, store_root
 
@@ -84,14 +66,6 @@ __all__ = [
     "NullSink",
     "TeeSink",
     "execute_report",
-    "CircuitBreaker",
-    "FederationPolicy",
-    "HealthChecker",
-    "RemoteShard",
-    "RemoteShardClient",
-    "ShardMap",
-    "ShardSlot",
-    "resolve_shard_map",
     "make_server",
     "request_json",
     "serve",
@@ -106,7 +80,6 @@ __all__ = [
     "SPEC_VERSION",
     "JobSpec",
     "model_versions",
-    "shard_for",
     "ResultStore",
     "store_root",
 ]

@@ -62,7 +62,6 @@ class ServiceClient:
         reject_pending: Optional[int] = None,
         client_quota: Optional[int] = None,
         client_id: Optional[str] = None,
-        shard_map=None,
     ):
         self.store = resolve_store(store)
         self.sink = sink if sink is not None else ListSink()
@@ -79,7 +78,6 @@ class ServiceClient:
             max_pending=max_pending,
             reject_pending=reject_pending,
             client_quota=client_quota,
-            shard_map=shard_map,
         )
 
     # -- job API -------------------------------------------------------
@@ -172,62 +170,9 @@ class ServiceClient:
             return []
         return self.store.query(**filters)
 
-    def federated_query(self, **filters) -> dict:
-        """Fan ``query`` in across the local store and every remote slot.
-
-        A dead or open-circuit remote contributes nothing but never
-        fails the whole query: the response carries ``partial=True``
-        plus an ``unavailable`` row per missing shard, so callers can
-        tell "the federation knows of no such report" apart from "one
-        shard could not answer".  Rows are deduplicated by digest and
-        re-sorted on the store's canonical key.
-        """
-        from repro.runtime.errors import RemoteShardError, TransientIOError
-
-        limit = filters.pop("limit", None)
-        rows = list(self.query(**filters))
-        partial = False
-        unavailable = []
-        for remote in self.scheduler.remote_shards():
-            if remote.breaker.state == "open":
-                # Known-dead: skip without burning the half-open probe
-                # (that token belongs to the job path).
-                partial = True
-                unavailable.append({
-                    "slot": remote.index, "url": remote.url,
-                    "error": "circuit open",
-                })
-                continue
-            try:
-                body = remote.client.query(filters)
-            except (RemoteShardError, TransientIOError) as exc:
-                partial = True
-                unavailable.append({
-                    "slot": remote.index, "url": remote.url,
-                    "error": str(exc),
-                })
-                continue
-            rows.extend(body.get("rows", []))
-        seen = {}
-        for row in rows:
-            seen.setdefault(row.get("digest"), row)
-        rows = sorted(
-            seen.values(),
-            key=lambda row: (
-                row.get("benchmark", ""), row.get("platform", ""),
-                row.get("objective", ""), row.get("digest", ""),
-            ),
-        )
-        if limit is not None:
-            rows = rows[: max(0, int(limit))]
-        return {
-            "rows": rows, "partial": partial, "unavailable": unavailable,
-        }
-
     def health(self) -> dict:
         """The enriched ``/v1/healthz`` payload: store stats, scheduler
-        queue depth and admission bounds, federation slot state, and the
-        model versions (for cross-host skew checks)."""
+        queue depth and admission bounds, and the model versions."""
         from repro.service.spec import model_versions
 
         return {

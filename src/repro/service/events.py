@@ -5,8 +5,8 @@ Every job the scheduler touches emits a small, flat event stream:
 ``submitted``
     the job entered the system (every admitted submission gets one);
 ``queued``
-    the job was admitted to a scheduler shard at full fidelity
-    (``detail`` records ``shard=<k> depth=<n>``);
+    the job was admitted at full fidelity (``detail`` records
+    ``depth=<n>``);
 ``coalesced``
     the submission was deduplicated onto an identical in-flight job
     (``detail`` names the primary job id);
@@ -19,13 +19,6 @@ Every job the scheduler touches emits a small, flat event stream:
 ``degraded``
     the computed report contains non-exact units (``detail`` lists
     ``unit=rung`` pairs);
-``failover``
-    the job's remote shard was unreachable (retry budget exhausted,
-    circuit open, or an undecodable response) and the job was re-routed
-    to local recompute on the executor ladder (``detail`` names the
-    shard and the triggering error).  Informational, not terminal: the
-    job still ends in exactly one of completed/failed/shed, attributed
-    ``served_by=local_failover``;
 ``completed`` / ``failed`` / ``shed``
     terminal states, with wall-clock ``duration_ms``.  ``shed`` is the
     terminal of a job the admission controller refused to run at full
@@ -79,7 +72,6 @@ EVENT_KINDS = (
     "cache_hit",
     "started",
     "degraded",
-    "failover",
     "completed",
     "failed",
     "shed",

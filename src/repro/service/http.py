@@ -9,8 +9,7 @@ Routes (all JSON)::
 
     GET  /v1/healthz                 liveness + store stats +
                                      scheduler queue depth/admission
-                                     bounds + federation breaker state +
-                                     model versions (skew detection)
+                                     bounds + model versions
     POST /v1/jobs                    {"spec": {...}} or {"specs": [...]}
                                      (+ "wait": true, "timeout_s": t)
     POST /v1/jobs/stream             {"specs": [...], "timeout_s": t} ->
@@ -18,23 +17,21 @@ Routes (all JSON)::
                                      it completes (no batch barrier)
     GET  /v1/jobs                    all job statuses
     GET  /v1/jobs/<id>               one job status
-    GET  /v1/jobs/<id>/result        block (up to ?timeout_s=) for report
+    GET  /v1/jobs/<id>/result        block (up to ?timeout_s=) for report;
+                                     202 + status if still unfinished
     GET  /v1/query?benchmark=&platform=&boundedness=&cap_below=...
-    GET  /v1/events?kind=&limit=     recent lifecycle events
+    GET  /v1/events?kind=&limit=     the last ``limit`` lifecycle events
 
 Malformed requests get ``400`` with ``{"error": ...}``; unknown jobs and
-routes get ``404``.  Admission control surfaces as ``429`` (the caller
+routes get ``404``; a job whose pipeline failed gets ``500`` on its
+result route.  Admission control surfaces as ``429`` (the caller
 is at its per-client quota -- callers are identified by the
 ``X-Repro-Client`` header, falling back to the peer address) and ``503``
 (the scheduler is at its hard queue bound); both carry the jobs that
 were admitted before the refusal, plus a ``Retry-After`` header and a
-``retry_after_s`` body field estimating the queue-drain time (the
-federation's :class:`~repro.service.federation.RemoteShardClient`
-honours the hint instead of blind backoff).  A federated front's
-``/v1/query`` fans in across remote shards and reports ``partial: true``
-with an ``unavailable`` list when a shard could not answer.  This front is a trusted-network tool
-(benchmarking, fleet amortization); it binds loopback by default and has
-no auth.
+``retry_after_s`` body field estimating the queue-drain time.  This
+front is a trusted-network tool (benchmarking, fleet amortization); it
+binds loopback by default and has no auth.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -280,13 +278,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._get_query(query)
             if path == "/v1/events":
                 limit = int(query.get("limit", 200))
-                events = [
-                    event.to_json()
-                    for event in self.server.client.events(
-                        query.get("kind")
-                    )
-                ][-max(0, limit):]
-                return self._send(200, {"events": events})
+                events = self.server.client.events(query.get("kind"))
+                # events[-0:] is the whole list: limit <= 0 means none.
+                events = events[-limit:] if limit > 0 else []
+                return self._send(200, {
+                    "events": [event.to_json() for event in events]
+                })
             return self._error(404, f"no such route {path}")
         except (ValueError, TypeError) as exc:
             return self._error(400, str(exc))
@@ -309,16 +306,7 @@ class _Handler(BaseHTTPRequestHandler):
         unknown = set(query) - set(filters)
         if unknown:
             raise ValueError(f"unknown query filters: {sorted(unknown)}")
-        if self.server.client.scheduler.remote_shards():
-            # Federated fan-in: a dead shard yields partial=true, not
-            # a failed query.
-            return self._send(
-                200, self.server.client.federated_query(**filters)
-            )
-        self._send(200, {
-            "rows": self.server.client.query(**filters),
-            "partial": False,
-        })
+        self._send(200, {"rows": self.server.client.query(**filters)})
 
     def _get_status(self, job_id: str) -> None:
         status = self.server.client.status(job_id)
@@ -335,6 +323,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
         try:
             report = self.server.client.result(job_id, timeout_s)
+        except FutureTimeoutError:
+            # Still queued or running when the wait ran out: the caller
+            # polls again, nothing failed.
+            return self._send(202, {
+                "status": self.server.client.status(job_id),
+            })
         except Exception as exc:
             return self._send(500, {
                 "error": f"job {job_id} failed: {exc}",

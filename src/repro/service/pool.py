@@ -127,8 +127,7 @@ class ThreadBackend:
         )
 
     def describe(self) -> dict:
-        """Healthz row: this backend is also the federation's local
-        failover slot, so remote operators can see its capacity."""
+        """Healthz row: the backend's kind and width."""
         return {"kind": self.kind, "width": self.width}
 
     def close(self) -> None:
@@ -209,8 +208,7 @@ class ProcessBackend:
         return KernelReport.from_json(out["report"])
 
     def describe(self) -> dict:
-        """Healthz row: this backend is also the federation's local
-        failover slot, so remote operators can see its capacity."""
+        """Healthz row: the backend's kind and width."""
         return {"kind": self.kind, "width": self.width}
 
     def close(self) -> None:

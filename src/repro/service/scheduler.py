@@ -34,27 +34,16 @@ exceeds it walks the exact -> approx -> timeout-cap ladder instead of
 blocking the pool; such reports complete normally but are never
 persisted.
 
-With a **shard map** (``repro.service.federation``), each job picks a
-slot by consistent hashing on its :meth:`JobSpec.workload_digest`
-(:meth:`JobSpec.shard`), and slots may be remote hosts: jobs routed to a
-remote slot are forwarded one by one over ``/v1/jobs`` by a hardened
-:class:`RemoteShardClient` (per-attempt timeouts, jittered backoff,
-idempotent-only retry, circuit breaker).
-When the remote path fails structurally -- retry budget exhausted,
-breaker open, garbage response -- the job **fails over** to local
-recompute on the existing executor ladder: a ``failover`` event is
-emitted and the result is attributed ``served_by=local_failover``.
-Every completion carries a ``served_by`` attribution
-(``remote | local | local_failover | cache``) and the global invariant
-stays ``submitted == completed + failed + shed`` -- a dead remote shard
-degrades throughput, never correctness.
+Every completion carries a ``served_by`` attribution (``cache`` for a
+store hit, ``local`` for a pipeline run on the backend, ``family`` when
+parametric-family artifacts served its CM counters) and the global
+invariant stays ``submitted == completed + failed + shed``.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
@@ -63,18 +52,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.mlpolyufc.reports import KernelReport
-from repro.runtime import EngineFailure, resolve_timeout
-from repro.runtime.errors import (
-    CircuitOpenError,
-    RemoteShardError,
-    TransientIOError,
-)
+from repro.runtime import resolve_timeout
 from repro.service.events import EventSink, ListSink, make_event
-from repro.service.federation import (
-    HealthChecker,
-    RemoteShard,
-    resolve_shard_map,
-)
 from repro.service.pool import make_backend
 from repro.service.spec import JobSpec
 from repro.service.store import ResultStore
@@ -102,13 +81,12 @@ class Job:
     spec: JobSpec
     digest: str
     submitted_at: float
-    shard: int = 0
     state: str = "queued"
     source: Optional[str] = None  # "computed" | "store" | "coalesced"
     shed: bool = False
     client_id: Optional[str] = None
-    #: Completion attribution: "remote" | "local" | "local_failover" |
-    #: "cache" (None until the job reaches its serving path).
+    #: Completion attribution: "cache" | "local" | "family" (None until
+    #: the job reaches its serving path).
     served_by: Optional[str] = None
     error: Optional[str] = None
     started_at: Optional[float] = None
@@ -143,17 +121,12 @@ class Scheduler:
         max_pending: Optional[int] = None,
         reject_pending: Optional[int] = None,
         client_quota: Optional[int] = None,
-        shard_map=None,
     ):
         self.store = store
         self.sink = sink if sink is not None else ListSink()
         #: Jobs run at once -- the only parallelism in the pipeline.
         self.width = max(1, workers or 1)
         self.default_timeout_s = cm_timeout_s
-        self.shard_map = resolve_shard_map(shard_map)
-        # The map *is* the shard identity: slot order decides where
-        # every digest routes, across every front using the map.
-        self.shards = 1 if self.shard_map is None else len(self.shard_map)
         self.max_pending = max_pending
         if reject_pending is None and max_pending is not None:
             # The hard bound leaves headroom above the shed threshold
@@ -169,28 +142,8 @@ class Scheduler:
             store_root=None if store_root is None else str(store_root),
         )
         self.executor = self._backend.kind
-        self._remotes: Dict[int, RemoteShard] = {}
-        self._health: Optional[HealthChecker] = None
-        if self.shard_map is not None:
-            policy = self.shard_map.policy
-            for slot in self.shard_map.slots:
-                if slot.is_remote:
-                    self._remotes[slot.index] = RemoteShard(
-                        slot.index, slot.url, policy=policy
-                    )
-            if self._remotes and policy.health_interval_s > 0:
-                self._health = HealthChecker(
-                    list(self._remotes.values()),
-                    interval_s=policy.health_interval_s,
-                )
-                self._health.start()
-        # A dispatcher thread blocks for the whole life of its job; a
-        # remote forward is mostly waiting on the wire, so give each
-        # remote slot its own thread on top of the local width -- a slow
-        # remote must not starve local compute.
         self._pool = ThreadPoolExecutor(
-            max_workers=self.width + len(self._remotes),
-            thread_name_prefix="repro-service",
+            max_workers=self.width, thread_name_prefix="repro-service",
         )
         #: EWMA of completed-job wall time, feeding retry-after hints.
         self._avg_duration_s = 1.0
@@ -235,14 +188,13 @@ class Scheduler:
         else:
             spec.validate()
         digest = spec.digest()
-        shard = spec.shard(self.shards)
         client_key = client_id or "anon"
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is shut down")
             job_id = f"j{next(self._counter):08d}"
             job = Job(
-                job_id=job_id, spec=spec, digest=digest, shard=shard,
+                job_id=job_id, spec=spec, digest=digest,
                 submitted_at=time.time(), client_id=client_id,
             )
             self._jobs[job_id] = job
@@ -304,9 +256,7 @@ class Scheduler:
             self._emit("coalesced", job, detail=job.primary_id)
         else:
             if not job.shed:
-                self._emit(
-                    "queued", job, detail=f"shard={shard} depth={depth}"
-                )
+                self._emit("queued", job, detail=f"depth={depth}")
             self._pool.submit(self._run, job)
         return job
 
@@ -453,24 +403,14 @@ class Scheduler:
                 self._emit("cache_hit", job)
             else:
                 job.source = "computed"
-                timeout = self._job_timeout(job)
-                remote = self._remotes.get(job.shard)
-                if remote is not None and not job.shed:
-                    self._emit(
-                        "started", job,
-                        detail=f"remote shard={job.shard} {remote.url}",
-                    )
-                    report = self._forward_remote(job, remote, timeout)
-                else:
-                    # Shed jobs never cross the wire: the cheap
-                    # timeout-cap rung costs less than a round trip.
-                    job.served_by = "local"
-                    self._emit("started", job, detail=job.spec.label())
-                    family_info: dict = {}
-                    report = self._run_local(
-                        job.spec, timeout, family_info
-                    )
-                    self._emit_family(job, family_info)
+                job.served_by = "local"
+                self._emit("started", job, detail=job.spec.label())
+                family_info: dict = {}
+                report = self._backend.run(
+                    job.spec, self.store, self._job_timeout(job),
+                    family_info,
+                )
+                self._emit_family(job, family_info)
         except BaseException as exc:
             self._fail_job(job, exc)
             return
@@ -478,16 +418,6 @@ class Scheduler:
             self._postprocess_and_complete(job, report)
         else:
             self._complete_job(job, report)
-
-    def _run_local(
-        self,
-        spec: JobSpec,
-        timeout: float,
-        family_info: Optional[dict] = None,
-    ) -> KernelReport:
-        """One pipeline execution on the local backend (also the
-        federation failover slot)."""
-        return self._backend.run(spec, self.store, timeout, family_info)
 
     def _emit_family(self, job: Job, info: dict) -> None:
         """Emit parametric-family lifecycle events from executor info.
@@ -519,59 +449,6 @@ class Scheduler:
         if info.get("poisoned"):
             self._emit("family_poisoned", job, detail=info["poisoned"])
 
-    def _forward_remote(
-        self, job: Job, remote: RemoteShard, timeout: float
-    ) -> KernelReport:
-        """Serve ``job`` from its remote slot, failing over locally.
-
-        Shard-level trouble (breaker open, retry budget exhausted,
-        undecodable payloads) re-routes to local recompute with a
-        ``failover`` event; a *job*-level error the remote reports
-        (its pipeline genuinely failed) is re-raised structurally --
-        it would fail identically here, so failover would only burn
-        local compute to learn the same thing.
-        """
-        try:
-            if not remote.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit open for shard {job.shard} ({remote.url})",
-                    url=remote.url,
-                )
-            # The CM deadline rides inside the spec JSON; the wire-level
-            # wait budget is the federation policy's request timeout.
-            row = remote.client.submit_wait(
-                job.spec.to_json(),
-                client_id=f"fed:{os.getpid()}",
-            )
-            error = row.get("error")
-            if error:
-                remote.breaker.record_success()  # the shard answered
-                raise EngineFailure(
-                    f"remote shard {job.shard} ({remote.url}): {error}",
-                    site="service.remote",
-                )
-            report = KernelReport.from_json(row["report"])
-        except (CircuitOpenError, RemoteShardError, TransientIOError,
-                KeyError, ValueError, TypeError) as exc:
-            if not isinstance(exc, CircuitOpenError):
-                # The breaker already knows about an open circuit;
-                # everything else is fresh evidence against the shard.
-                remote.breaker.record_failure()
-            reason = f"{type(exc).__name__}: {exc}"
-            log.warning(
-                "remote shard %d (%s) failed (%s); recomputing locally",
-                job.shard, remote.url, reason,
-            )
-            job.served_by = "local_failover"
-            self._emit(
-                "failover", job,
-                detail=f"shard={job.shard} {reason}",
-            )
-            return self._run_local(job.spec, timeout)
-        remote.breaker.record_success()  # closes a half-open probe
-        job.served_by = "remote"
-        return report
-
     def _note_duration(self, duration_s: float) -> None:
         with self._lock:
             self._avg_duration_s = (
@@ -579,10 +456,6 @@ class Scheduler:
             )
 
     # -- introspection -------------------------------------------------
-
-    def remote_shards(self) -> List[RemoteShard]:
-        """The live remote-slot bundles (empty without a shard map)."""
-        return list(self._remotes.values())
 
     def retry_after_hint(self) -> float:
         """Seconds a refused client should wait before retrying.
@@ -601,15 +474,14 @@ class Scheduler:
 
     def stats(self) -> dict:
         """A JSON-shaped operational snapshot (the ``/v1/healthz``
-        ``scheduler`` section): queue depth, admission bounds, backend
-        capacity, and -- when federated -- every remote slot's
-        breaker/health state."""
+        ``scheduler`` section): queue depth, admission bounds and
+        backend capacity."""
         with self._lock:
             depth = self._pending
             jobs = len(self._jobs)
             clients = len(self._client_inflight)
             avg = self._avg_duration_s
-        data = {
+        return {
             "executor": self.executor,
             "backend": self._backend.describe(),
             "width": self.width,
@@ -621,14 +493,6 @@ class Scheduler:
             "jobs": jobs,
             "avg_job_s": round(avg, 3),
         }
-        if self.shard_map is not None:
-            data["federation"] = [
-                self._remotes[index].snapshot()
-                if index in self._remotes
-                else {"slot": index, "kind": "local"}
-                for index in range(self.shards)
-            ]
-        return data
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -665,7 +529,6 @@ class Scheduler:
             "objective": job.spec.objective,
             "source": job.source,
             "served_by": served_by,
-            "shard": job.shard,
             "shed": (primary or job).shed,
             "error": error,
             "degraded_units": degraded,
@@ -740,7 +603,5 @@ class Scheduler:
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             self._closed = True
-        if self._health is not None:
-            self._health.stop()
         self._pool.shutdown(wait=wait)
         self._backend.close()

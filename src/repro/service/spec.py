@@ -48,19 +48,6 @@ def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def shard_for(digest: str, shards: int) -> int:
-    """Consistent digest -> shard-map slot routing (stable across
-    processes).
-
-    The digest is already a uniform SHA-256, so its leading 64 bits mod
-    ``shards`` is an even, deterministic partition: every process (and
-    every host) maps the same digest to the same slot.
-    """
-    if shards <= 1:
-        return 0
-    return int(digest[:16], 16) % shards
-
-
 def model_versions() -> dict:
     """The version tuple folded into every digest."""
     return {
@@ -69,22 +56,6 @@ def model_versions() -> dict:
         "memo": MEMO_VERSION,
         "envelope": ENVELOPE_VERSION,
     }
-
-
-def versions_compatible(remote: dict) -> bool:
-    """True iff a remote host's model versions match ours exactly.
-
-    Digests fold the versions in, so two hosts disagreeing on any of
-    them compute *different* digests for the same spec -- forwarding a
-    job across that skew would silently break content addressing.  The
-    federation health checker treats a mismatch as an unhealthy shard
-    (fail over locally) rather than a hard error, so a rolling upgrade
-    degrades instead of corrupting.
-    """
-    if not isinstance(remote, dict):
-        return False
-    local = model_versions()
-    return {key: remote.get(key) for key in local} == local
 
 
 @dataclass(frozen=True)
@@ -331,15 +302,6 @@ class JobSpec:
             raise ValueError("job spec is missing 'benchmark'")
         spec = cls(**data)
         return spec.validate()
-
-    def shard(self, shards: int) -> int:
-        """The shard-map slot this spec routes to.
-
-        Routing hashes the **workload** digest, not the full digest, so
-        jobs that share hardware-side counters land on the same slot --
-        the host whose store already holds those counters.
-        """
-        return shard_for(self.workload_digest(), shards)
 
     def label(self) -> str:
         """Short human-readable identity for logs and events."""

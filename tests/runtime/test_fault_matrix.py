@@ -26,12 +26,10 @@ CASES = [
 ]
 
 
-# service.worker fires inside forked pool workers and service.remote
-# inside the federation HTTP client, neither of which kernel_report
-# ever reaches; their coverage (worker death, pool rebuild, the remote
-# failure matrix + failover) lives in tests/service/test_pool.py and
-# tests/service/test_federation.py.
-SERVICE_SITES = {"service.worker", "service.remote"}
+# service.worker fires inside forked pool workers, which kernel_report
+# never reaches; its coverage (worker death, pool rebuild) lives in
+# tests/service/test_pool.py.
+SERVICE_SITES = {"service.worker"}
 
 
 def test_every_site_is_covered():

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.runtime import EngineFailure, FaultConfigError
-from repro.runtime import faults
 from repro.runtime.faults import (
     KINDS,
     KNOWN_SITES,
@@ -51,10 +50,7 @@ class TestParsing:
             FaultSpec("s", "fail", arg=0)
 
     def test_kind_list_is_closed(self):
-        assert set(KINDS) == {
-            "fail", "io", "slow", "corrupt", "die",
-            "refuse", "timeout", "droppedconn", "garbage",
-        }
+        assert set(KINDS) == {"fail", "io", "slow", "corrupt", "die"}
 
 
 class TestInjection:
@@ -117,46 +113,6 @@ class TestInjection:
         first, second = outcomes(), outcomes()
         assert first == second  # deterministic under a fixed seed
         assert any(first) and not all(first)  # actually probabilistic
-
-
-class TestNetworkKinds:
-    """The transport-seam kinds used by the federation client."""
-
-    @pytest.mark.parametrize(
-        "kind,exc_type",
-        [
-            ("refuse", ConnectionRefusedError),
-            ("timeout", TimeoutError),
-            ("droppedconn", ConnectionResetError),
-        ],
-    )
-    def test_control_kinds_raise_socket_errors(self, kind, exc_type):
-        with inject("service.remote", kind):
-            with pytest.raises(exc_type):
-                fire("service.remote")
-
-    def test_network_errors_are_oserrors(self):
-        # The federation client catches one class for the breaker.
-        for kind in ("refuse", "timeout", "droppedconn"):
-            with inject("service.remote", kind):
-                with pytest.raises(OSError):
-                    fire("service.remote")
-
-    def test_garbage_kind_acts_through_the_data_path(self):
-        import json
-
-        assert faults.network_garbage("service.remote") is None
-        with inject("service.remote", "garbage"):
-            fire("service.remote")  # control path is a no-op
-            payload = faults.network_garbage("service.remote")
-        assert payload is not None
-        with pytest.raises(ValueError):
-            json.loads(payload)
-
-    def test_count_limited_garbage_is_transient(self):
-        with inject("service.remote", "garbage", arg=1):
-            assert faults.network_garbage("service.remote") is not None
-            assert faults.network_garbage("service.remote") is None
 
 
 class TestMangle:

@@ -1,4 +1,5 @@
-"""Admission control: the bounded queue, shedding, quotas, slot routing."""
+"""Admission control: the bounded queue, shedding, quotas, retry-after
+hints."""
 
 import collections
 
@@ -123,16 +124,48 @@ def test_client_quota_rejects_before_admission(sink):
     assert_terminal_invariant(sink)
 
 
-def test_workload_siblings_route_to_the_same_shard():
-    # Jobs differing only in objective share the workload digest, so
-    # they must land on the same shard-map slot (the remote host that
-    # holds their hardware-side counters).
-    edp = JobSpec(benchmark=KERNEL, objective="edp")
-    energy = JobSpec(benchmark=KERNEL, objective="energy")
-    assert edp.workload_digest() == energy.workload_digest()
-    for shards in (2, 3, 8):
-        assert edp.shard(shards) == energy.shard(shards)
-        assert 0 <= edp.shard(shards) < shards
+def test_scheduler_retry_after_hint_is_clamped():
+    sched = Scheduler(store=None)
+    try:
+        assert 0.5 <= sched.retry_after_hint() <= 60.0
+    finally:
+        sched.shutdown()
+
+
+def test_refusals_carry_retry_after(tmp_path):
+    import json
+    import urllib.error
+    import urllib.request
+
+    from repro.service.http import serve_in_thread
+
+    server, url, _thread = serve_in_thread(
+        store=str(tmp_path / "store"), client_quota=1,
+    )
+    try:
+        with inject("cm.chunk", "slow", arg=0.2):
+            payload = json.dumps({
+                "specs": [
+                    {"benchmark": KERNEL},
+                    {"benchmark": KERNEL, "objective": "energy"},
+                ],
+                "wait": False,
+            }).encode()
+            request = urllib.request.Request(
+                url + "/v1/jobs", data=payload,
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=30)
+            code, headers = refused.value.code, refused.value.headers
+            body = json.loads(refused.value.read())
+        assert code == 429
+        assert body["retry_after_s"] >= 0.5
+        assert int(headers["Retry-After"]) >= 1
+        # The job admitted before the refusal is preserved.
+        assert len(body["jobs"]) == 1
+    finally:
+        server.close()
 
 
 def test_http_surfaces_quota_and_streaming(tmp_path):

@@ -30,6 +30,18 @@ def test_healthz(server):
     assert body["store"]["root"]
 
 
+def test_healthz_is_enriched(server):
+    _, base = server
+    code, body = request_json(base + "/v1/healthz")
+    assert code == 200
+    assert body["store"]["root"]
+    scheduler = body["scheduler"]
+    assert scheduler["queue_depth"] >= 0
+    assert "max_pending" in scheduler
+    assert "avg_job_s" in scheduler
+    assert body["versions"]
+
+
 def test_submit_wait_returns_the_report(server):
     _, base = server
     code, body = request_json(
@@ -104,6 +116,58 @@ def test_unknown_routes_and_jobs_get_404(server):
     assert "unknown job" in body["error"]
     code, _ = request_json(base + "/v1/jobs/j99999999/result")
     assert code == 404
+
+
+def test_unfinished_result_is_202_not_a_failure(monkeypatch):
+    from repro.cache.memo import clear_memo
+    from repro.runtime.faults import inject
+    from repro.service.http import serve_in_thread
+
+    # No store and no CM memo: the job really runs its CM chunks.
+    monkeypatch.setenv("REPRO_CM_MEMO", "0")
+    clear_memo()
+    server, base, _thread = serve_in_thread(store=False, executor="thread")
+    try:
+        with inject("cm.chunk", "slow", arg=0.2):
+            code, body = request_json(
+                base + "/v1/jobs", {"spec": {"benchmark": KERNEL}}
+            )
+            assert code == 200
+            job_id = body["jobs"][0]["job_id"]
+            code, body = request_json(
+                base + f"/v1/jobs/{job_id}/result?timeout_s=0.05"
+            )
+        assert code == 202
+        assert body["status"]["state"] in ("queued", "running")
+        assert "report" not in body
+        code, body = request_json(
+            base + f"/v1/jobs/{job_id}/result?timeout_s=300",
+            timeout_s=330,
+        )
+        assert code == 200
+        assert body["report"]["benchmark"] == KERNEL
+    finally:
+        server.close()
+
+
+def test_events_limit_zero_returns_no_events(server):
+    _, base = server
+    code, _ = request_json(
+        base + "/v1/jobs",
+        {"spec": {"benchmark": KERNEL}, "wait": True, "timeout_s": 300},
+        timeout_s=330,
+    )
+    assert code == 200
+    code, body = request_json(base + "/v1/events?limit=2")
+    assert len(body["events"]) == 2
+    for limit in (0, -1):
+        code, body = request_json(base + f"/v1/events?limit={limit}")
+        assert code == 200
+        assert body["events"] == []
+    # The same as /v1/query, whose limit=0 answers no rows.
+    code, body = request_json(base + "/v1/query?limit=0")
+    assert code == 200
+    assert body["rows"] == []
 
 
 def test_bad_query_filter_gets_400(server):
