@@ -44,15 +44,18 @@ reach the expensive counting machinery:
    sets the peak memory.
 
 Stages 1-6 are :func:`classify_misses`, which decides every hit and
-miss of an LRU level; the write-back hardware simulator
-(:mod:`repro.cache.simulator`) runs its own tail on the same stages.
-The write-through next-level stream (miss fetch, then the forwarded write
-for stores, in program order) is materialized with a cumulative-sum
-scatter, so the whole hierarchy is evaluated without Python-level
-per-access work.  The engine is bit-for-bit equivalent to the reference
-loop (asserted by the randomized suite in ``tests/cache/test_fast_model.py``
-and by the exact polyhedral model on small kernels) -- it changes
-evaluation speed, not the Sec. IV model semantics.
+miss of an LRU level.  Two tails read one classification: the CM's
+write-through tail (:func:`model_level`) and the write-back hardware
+simulator's (:mod:`repro.cache.simulator`); both accept a classification
+the caller already holds, so the CM and the simulator of one trace
+classify its first level once.  The write-through next-level stream
+(miss fetch, then the forwarded write for stores, in program order) is
+materialized with a cumulative-sum scatter, so the whole hierarchy is
+evaluated without Python-level per-access work.  The engine is
+bit-for-bit equivalent to the reference loop (asserted by the randomized
+suite in ``tests/cache/test_fast_model.py`` and by the exact polyhedral
+model on small kernels) -- it changes evaluation speed, not the Sec. IV
+model semantics.
 """
 
 from __future__ import annotations
@@ -376,13 +379,18 @@ class MissClassification(NamedTuple):
     #: First-ever touches of a line (the cold part of ``missed``).
     cold: int
 
+    @property
+    def capacity_conflict(self) -> int:
+        """Misses of lines touched before."""
+        return int(np.count_nonzero(self.missed)) - self.cold
+
 
 def classify_misses(
     lines: np.ndarray,
     config: CacheLevelConfig,
     checkpoint: Callable[[], None] = _no_checkpoint,
 ) -> MissClassification:
-    """Stages 1-6 of the cascade over one non-empty level stream.
+    """Stages 1-6 of the cascade over one level stream.
 
     ``lines`` is a contiguous int64 array; ``checkpoint`` runs at the
     cascade's cooperative interruption points (stage boundaries and
@@ -393,6 +401,11 @@ def classify_misses(
     """
     n = lines.size
     index = _index_dtype(n)
+    if n == 0:
+        none = np.empty(0, dtype=index)
+        return MissClassification(
+            None, none, lines, none, np.empty(0, dtype=bool), 0
+        )
     num_sets = config.num_sets
     assoc = config.associativity
 
@@ -501,34 +514,50 @@ def classify_misses(
     )
 
 
+def classify_level(
+    lines: np.ndarray,
+    config: CacheLevelConfig,
+    deadline: Optional[Deadline] = None,
+) -> MissClassification:
+    """:func:`classify_misses` at the CM's interruption points.
+
+    The cascade checkpoints ``deadline`` (and the ``cm.chunk`` fault
+    site) at its stage boundaries and inside the chunked counting
+    rounds, mirroring the reference engine's cooperative interruption
+    points.
+    """
+
+    def checkpoint() -> None:
+        faults.fire("cm.chunk")
+        _check_deadline(deadline, "cm.chunk")
+
+    return classify_misses(lines, config, checkpoint)
+
+
 def model_level(
     lines: np.ndarray,
     writes: np.ndarray,
     config: CacheLevelConfig,
     deadline: Optional[Deadline] = None,
+    stages: Optional[MissClassification] = None,
 ) -> Tuple[int, int, np.ndarray, np.ndarray]:
     """One write-through level, vectorized.
 
     Returns ``(cold, capacity_conflict, next_lines, next_writes)`` with the
     identical counters and identically ordered next-level stream as the
-    reference loop in :mod:`repro.cache.static_model`.  The filtering
-    cascade checkpoints ``deadline`` (and the ``cm.chunk`` fault site) at
-    its stage boundaries and inside the chunked counting rounds, mirroring
-    the reference engine's cooperative interruption points.
+    reference loop in :mod:`repro.cache.static_model`.  ``stages`` is the
+    level's classification when the caller already holds it; otherwise
+    the level is classified here through :func:`classify_level`.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     writes = np.ascontiguousarray(writes, dtype=bool)
     n = lines.size
     if n == 0:
         return _empty_level()
-
-    def checkpoint() -> None:
-        faults.fire("cm.chunk")
-        _check_deadline(deadline, "cm.chunk")
-
-    stages = classify_misses(lines, config, checkpoint)
+    if stages is None:
+        stages = classify_level(lines, config, deadline)
     cold = stages.cold
-    cap_conflict = int(np.count_nonzero(stages.missed)) - cold
+    cap_conflict = stages.capacity_conflict
 
     # Scatter misses back to program order (collapsed accesses never miss).
     missed = np.zeros(n, dtype=bool)

@@ -11,7 +11,9 @@ This module gives those call sites content-addressed reuse:
 * :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`;
   :func:`lookup_trace` reads that LRU without generating or inserting.
 * :func:`memoized_cm_with_note` -- in-process LRU over the full trace+CM
-  evaluation.
+  evaluation.  A result whose evaluation also ran the hardware
+  simulator's tail (:class:`~repro.cache.static_model.SimulatorTail`)
+  keeps that small simulation, so a later hit hands it out too.
 
 Both LRUs hold :data:`MEMO_CAPACITY` entries and live only as long as the
 process: results that must outlive it belong in the service's
@@ -32,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 from repro.cache.config import CacheHierarchy
 from repro.cache.static_model import (
     CacheModelResult,
+    SimulatorTail,
     polyufc_cm,
     resolve_engine,
 )
@@ -218,6 +221,7 @@ def _compute_cm(
     engine_name: str,
     max_accesses: int,
     deadline: Optional[Deadline],
+    hardware: Optional[SimulatorTail],
 ) -> Tuple[CacheModelResult, Optional[str]]:
     """The uncached evaluation: symbolic first when asked, trace otherwise.
 
@@ -259,7 +263,7 @@ def _compute_cm(
     )
     cm = polyufc_cm(
         trace, hierarchy, threads=threads, parallel=parallel,
-        engine=engine_name, deadline=deadline,
+        engine=engine_name, deadline=deadline, hardware=hardware,
     )
     return cm, note
 
@@ -273,6 +277,7 @@ def memoized_cm_with_note(
     engine: Optional[str] = None,
     max_accesses: int = 60_000_000,
     deadline: Optional[Deadline] = None,
+    hardware: Optional[SimulatorTail] = None,
 ) -> Tuple[CacheModelResult, Optional[str]]:
     """The trace+CM evaluation of one unit, memoized, with its note.
 
@@ -284,13 +289,15 @@ def memoized_cm_with_note(
 
     The second element is the structured symbolic-fallback note
     (``None`` unless ``engine="symbolic"`` had to fall back), cached
-    with the counters.
+    with the counters.  ``hardware`` reaches the trace evaluation
+    (:func:`~repro.cache.static_model.polyufc_cm`) only: a hit returns
+    the cached result with whatever simulation it holds, or none.
     """
     engine_name = resolve_engine(engine)
     if not memo_enabled():
         return _compute_cm(
             module, ops, hierarchy, threads, parallel, engine_name,
-            max_accesses, deadline,
+            max_accesses, deadline, hardware,
         )
     key = unit_fingerprint(
         module, ops, hierarchy, threads, parallel, engine, max_accesses
@@ -300,7 +307,7 @@ def memoized_cm_with_note(
         return cached
     entry = _compute_cm(
         module, ops, hierarchy, threads, parallel, engine_name,
-        max_accesses, deadline,
+        max_accesses, deadline, hardware,
     )
     _cm_lru.put(key, entry)
     return entry

@@ -9,20 +9,24 @@ expose through PAPI-like counters; PolyUFC-CM (:mod:`repro.cache.
 static_model`) is the *model* being evaluated against it.
 
 :func:`simulate_hierarchy` works on whole arrays, on the miss
-classification stages of :mod:`repro.cache.fast_model`;
-:func:`reference_simulate_hierarchy` is the same simulator one access at
-a time in Python lists, kept as the oracle it is checked against.
+classification stages of :mod:`repro.cache.fast_model`.  Write-back
+never changes which accesses hit, so when the CM has just classified the
+same stream through the same first level it hands that classification
+over (``first_level``) and the simulator only runs its write-back tail
+there.  :func:`reference_simulate_hierarchy` is the same simulator one
+access at a time in Python lists, kept as the oracle it is checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
-from repro.cache.fast_model import classify_misses
+from repro.cache.fast_model import MissClassification, classify_misses
 from repro.cache.trace import AccessTrace
 
 
@@ -93,6 +97,7 @@ def _simulate_level(
     lines: np.ndarray,
     writes: np.ndarray,
     config: CacheLevelConfig,
+    stages: Optional[MissClassification] = None,
 ) -> Tuple[int, int, int, np.ndarray, np.ndarray]:
     """Simulate one write-back LRU level on whole arrays.
 
@@ -104,7 +109,8 @@ def _simulate_level(
 
     Hits and misses come from the shared classification stages of
     :mod:`repro.cache.fast_model` (write-back changes which lines are
-    written back, never which accesses hit).  The rest rests on one
+    written back, never which accesses hit); ``stages`` is that
+    classification when the caller already holds it.  The rest rests on one
     identity: inside a set, LRU evicts residencies in the order of their
     final touches, so the ``k``-th miss of a set (``k >= assoc``) evicts
     the residency with the ``(k - assoc)``-th earliest final touch there.
@@ -116,9 +122,10 @@ def _simulate_level(
     n = lines.size
     if n == 0:
         return 0, 0, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    times, kept_idx, kept_lines, order, missed, _cold = classify_misses(
-        lines, config
-    )
+    if stages is None:
+        stages = classify_misses(lines, config)
+    times, kept_idx, kept_lines, order, missed, _cold = stages
+    del stages
     m = kept_idx.size
 
     # Per run head: does the collapsed run write?
@@ -186,9 +193,17 @@ def _simulate_level(
 
 
 def simulate_hierarchy(
-    trace: AccessTrace, hierarchy: CacheHierarchy
+    trace: AccessTrace,
+    hierarchy: CacheHierarchy,
+    first_level: Optional[MissClassification] = None,
 ) -> CacheSimResult:
-    """Run the trace through every level of the hierarchy."""
+    """Run the trace through every level of the hierarchy.
+
+    ``first_level`` is the :func:`~repro.cache.fast_model.classify_misses`
+    result of the trace's line ids through ``hierarchy.levels[0]`` when
+    the caller already holds it; the first level then runs only its
+    write-back tail, and the levels below run as always.
+    """
     lines = np.ascontiguousarray(
         trace.line_ids(hierarchy.line_bytes), dtype=np.int64
     )
@@ -197,8 +212,9 @@ def simulate_hierarchy(
     for config in hierarchy.levels:
         accesses = int(lines.size)
         hits, misses, writebacks, lines, writes = _simulate_level(
-            lines, writes, config
+            lines, writes, config, first_level
         )
+        first_level = None
         stats.append(
             LevelStats(config.name, accesses, hits, misses, writebacks)
         )

@@ -23,22 +23,34 @@ Compared to the hardware simulator (:mod:`repro.cache.simulator`), the
 differences are the write policy (write-through vs write-back), the thread
 heuristic (divide-by-T vs actually interleaved execution), and the absence
 of writeback traffic -- which is exactly the kind of model error the paper
-reports (<7 % performance estimation error on RPL, Fig. 6).
+reports (<7 % performance estimation error on RPL, Fig. 6).  The policies
+differ only after each access is classified as a hit or a miss, so when
+asked (:class:`SimulatorTail`) the fast engine hands its first-level
+classification to the simulator instead of both classifying the trace.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
-from repro.cache.fast_model import model_level as _fast_model_level
+from repro.cache.fast_model import (
+    MissClassification,
+    classify_level,
+    model_level as _fast_model_level,
+)
+from repro.cache.simulator import CacheSimResult, simulate_hierarchy
 from repro.cache.trace import AccessTrace
 from repro.runtime import Deadline, check as _check_deadline, faults
+
+log = logging.getLogger("repro.runtime")
 
 #: Selectable CM evaluation engines.  ``fast`` is the vectorized NumPy
 #: stack-distance kernel (:mod:`repro.cache.fast_model`); ``reference``
@@ -120,12 +132,21 @@ class LevelModelStats:
 
 @dataclass(frozen=True)
 class CacheModelResult:
-    """PolyUFC-CM output for one kernel."""
+    """PolyUFC-CM output for one kernel.
+
+    ``hardware`` is the write-back simulation of the same trace through
+    the same hierarchy when the evaluation ran the simulator tail
+    (:class:`SimulatorTail`); it is not a model counter, so it takes no
+    part in comparisons.
+    """
 
     levels: Tuple[LevelModelStats, ...]
     line_bytes: int
     total_accesses: int
     threads: int
+    hardware: Optional[CacheSimResult] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def llc(self) -> LevelModelStats:
@@ -221,6 +242,43 @@ def _model_level(
     return cold, cap_conflict, next_lines, next_writes
 
 
+@dataclass
+class SimulatorTail:
+    """A request that :func:`polyufc_cm` also simulate ``hierarchy``.
+
+    The fast engine honours it when it models that very hierarchy: its
+    first-level classification then feeds the write-back simulator too,
+    once every model level has finished.  ``seconds`` adds up the
+    wall-clock of the tails run, so a caller can keep them out of the CM
+    stage's time.
+    """
+
+    hierarchy: CacheHierarchy
+    seconds: float = 0.0
+
+    def run(
+        self, trace: AccessTrace, first_level: MissClassification
+    ) -> Optional[CacheSimResult]:
+        """The simulation, or ``None`` when it failed.
+
+        The model side is complete by now and must not degrade because
+        of the hardware side, so any failure only drops the simulation:
+        the caller's own simulator path then recomputes it (and meets a
+        real error there again).  No fault site fires in here.
+        """
+        started = time.perf_counter()
+        try:
+            return simulate_hierarchy(trace, self.hierarchy, first_level)
+        except Exception as exc:
+            log.warning(
+                "simulator tail failed (%s); dropping the simulation", exc,
+                exc_info=True,
+            )
+            return None
+        finally:
+            self.seconds += time.perf_counter() - started
+
+
 def polyufc_cm(
     trace: AccessTrace,
     hierarchy: CacheHierarchy,
@@ -228,6 +286,7 @@ def polyufc_cm(
     parallel: bool = False,
     engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
+    hardware: Optional[SimulatorTail] = None,
 ) -> CacheModelResult:
     """Run PolyUFC-CM over a kernel's scheduled access relation.
 
@@ -238,6 +297,11 @@ def polyufc_cm(
     ``deadline`` is checkpointed at every level boundary and inside both
     engines' chunk loops, so an armed ``cm_timeout_s`` interrupts the
     evaluation mid-unit instead of after the fact.
+
+    ``hardware`` asks the fast engine for the result's ``hardware``
+    simulation (see :class:`SimulatorTail`); it is ignored unless its
+    hierarchy is ``hierarchy``, so the shared classification is always
+    the one the simulator would compute itself.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -251,29 +315,53 @@ def polyufc_cm(
         # trace evaluator is the right tool, so the name degrades to it.
         engine = "fast"
     if engine == "fast":
-        level_fn = _fast_model_level
         lines = np.ascontiguousarray(line_ids, dtype=np.int64)
         writes = np.ascontiguousarray(trace.is_write, dtype=bool)
     else:
-        level_fn = _model_level
         lines = line_ids.tolist()
         writes = trace.is_write.tolist()
+    share = (
+        hardware is not None
+        and engine == "fast"
+        and hardware.hierarchy == hierarchy
+    )
+    first_level: Optional[MissClassification] = None
+    last = len(hierarchy.levels) - 1
     divider = threads if (parallel and threads > 1) else 1
     stats: List[LevelModelStats] = []
     for index, config in enumerate(hierarchy.levels):
         faults.fire("cm.chunk")
         _check_deadline(deadline, f"cm.level:{config.name}")
         accesses = len(lines)
-        cold, cap_conflict, lines, writes = level_fn(
-            lines, writes, config, deadline=deadline
-        )
+        if engine != "fast":
+            cold, cap_conflict, lines, writes = _model_level(
+                lines, writes, config, deadline=deadline
+            )
+        else:
+            # Only a shared first-level classification outlives its
+            # level; every other one is released inside the level.
+            stages = None
+            if index == 0 and share:
+                stages = first_level = classify_level(
+                    lines, config, deadline
+                )
+            if index < last:
+                cold, cap_conflict, lines, writes = _fast_model_level(
+                    lines, writes, config, deadline=deadline, stages=stages
+                )
+            else:
+                # Nothing reads a stream past the last level: count only.
+                if stages is None:
+                    stages = classify_level(lines, config, deadline)
+                cold, cap_conflict = stages.cold, stages.capacity_conflict
+            del stages
         # The paper's heuristic divides miss counts by the thread count to
         # model working-set sharing.  Two refinements keep the counts
         # physical: (1) cold misses are never divided (threads share the
         # machine, not the data -- Q_DRAM cannot drop below the footprint),
         # and (2) the division applies at the *shared* LLC only; private
         # L1/L2 behaviour replicates per thread rather than shrinking.
-        shared_level = index == len(hierarchy.levels) - 1
+        shared_level = index == last
         stats.append(
             LevelModelStats(
                 config.name,
@@ -284,8 +372,10 @@ def polyufc_cm(
                 ),
             )
         )
+    del lines, writes
     return CacheModelResult(
-        tuple(stats), hierarchy.line_bytes, len(trace), threads
+        tuple(stats), hierarchy.line_bytes, len(trace), threads,
+        hardware=hardware.run(trace, first_level) if share else None,
     )
 
 

@@ -25,6 +25,7 @@ from repro.cache.memo import memoized_cm_with_note
 from repro.cache.static_model import (
     CacheModelResult,
     LevelModelStats,
+    SimulatorTail,
     polyufc_cm,
 )
 from repro.cache.trace import generate_trace
@@ -84,7 +85,8 @@ class UnitCharacterization:
     structured engine annotation: when the ``symbolic`` CM engine found
     the unit outside its quasi-affine class and fell back to ``fast``,
     the reason lands here (the counters stay exact, so ``degraded``
-    remains ``"exact"``).
+    remains ``"exact"``).  ``cm.hardware`` is the unit's simulated
+    hardware counters when its exact CM ran the simulator tail.
     """
 
     name: str
@@ -272,12 +274,14 @@ def characterize_units(
     engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     cm_lookup=None,
+    hardware: Optional[SimulatorTail] = None,
 ) -> List[UnitCharacterization]:
     """Characterize every capping unit of an affine module, in order.
 
     Units run serially: job-level parallelism belongs to the service
     scheduler.  ``engine`` selects the CM evaluator (see
-    :data:`repro.cache.static_model.CM_ENGINES`).
+    :data:`repro.cache.static_model.CM_ENGINES`).  ``hardware`` reaches
+    the exact rung only, so a degraded unit never carries a simulation.
 
     ``cm_lookup`` (unit name -> :class:`CacheModelResult` or ``None``)
     short-circuits the per-unit CM evaluation -- the service's
@@ -336,6 +340,7 @@ def characterize_units(
                 engine=engine,
                 max_accesses=max_trace_accesses,
                 deadline=deadline,
+                hardware=hardware,
             )
             return cm, "exact", None, note
         except DEGRADABLE_ERRORS as exc:

@@ -8,8 +8,15 @@ ladder under the job's deadline) and attaches the hardware-side workload
 (exact cache-simulator counters), reusing the store's content-addressed
 workload objects when jobs differ only in objective / epsilon / overhead
 / engine -- the simulator never sees those knobs, so the counters are
-shared by construction.  The simulator runs on the trace the CM stage
-left in the in-process trace memo when it is still there.
+shared by construction.
+
+When the job still needs those counters, the CM stage produces them: the
+fast engine classifies each unit's first cache level once and runs both
+the model's write-through tail and the simulator's write-back tail on
+it.  Every other unit (fully-associative CM, other engines, ``approx``
+or chart-served units, CM memo hits that hold no simulation) is
+simulated here, on the trace the CM stage left in the in-process trace
+memo when it is still there.
 """
 
 from __future__ import annotations
@@ -43,11 +50,12 @@ def _hardware_rows(
 ) -> Tuple[List[dict], List[Optional[str]], bool]:
     """Exact-simulator counters per unit: (rows, warnings, cacheable).
 
-    Each unit is simulated on the trace the CM stage memoized for the
-    same ``(module, ops)`` when the memo still holds it, and on a freshly
-    generated one otherwise.  The lookup never inserts: a unit the CM
-    served without a trace (symbolic, family charts) must not pin its
-    trace in the memo.
+    A unit whose CM already simulated the platform's hierarchy
+    (``unit.cm.hardware``) uses that.  Any other unit is simulated on the
+    trace the CM stage memoized for the same ``(module, ops)`` when the
+    memo still holds it, and on a freshly generated one otherwise.  The
+    lookup never inserts: a unit the CM served without a trace
+    (symbolic, family charts) must not pin its trace in the memo.
 
     A unit whose CM side degraded to ``timeout-cap`` is not simulated
     (the exact trace it needs is exactly what timed out) and a unit
@@ -69,6 +77,8 @@ def _hardware_rows(
         sim = None
         if unit.degraded == "timeout-cap":
             cacheable = False
+        elif unit.cm.hardware is not None:
+            sim = unit.cm.hardware
         else:
             try:
                 trace = lookup_trace(result.tiled_module, unit.ops)
@@ -228,6 +238,10 @@ def execute_report(
         hit = _family_serve(artifact, sizes)
         if hit is not None:
             served, served_source = hit
+    # Only an existence check before the compile: reading the rows this
+    # early would keep them alive across it.
+    workload_key = spec.workload_digest()
+    needs_rows = store is None or not store.has_workload(workload_key)
     result = polyufc_compile(
         get_benchmark(spec.benchmark).module(dict(spec.sizes)),
         plat,
@@ -240,6 +254,7 @@ def execute_report(
         cm_engine=spec.engine,
         cm_timeout_s=cm_timeout_s,
         cm_lookup=served.get if served is not None else None,
+        simulate_hardware=needs_rows,
     )
     if family_info is not None and served is not None:
         family_info["source"] = served_source
@@ -248,7 +263,6 @@ def execute_report(
             if unit.cm_note == FAMILY_SERVED_NOTE
         )
 
-    workload_key = spec.workload_digest()
     cached_rows = store.get_workload(workload_key) if store else None
     names = [unit.name for unit in result.units]
     if cached_rows is not None and [

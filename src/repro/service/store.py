@@ -211,6 +211,9 @@ class ResultStore:
             return None
         return path
 
+    def has_workload(self, digest: str) -> bool:
+        return self.workload_path(digest).exists()
+
     def get_workload(self, digest: str) -> Optional[List[dict]]:
         path = self.workload_path(digest)
         try:

@@ -21,7 +21,10 @@ and runs the full check battery:
   touch of a line misses an empty cache).
 * the vectorized hardware simulator equals its per-access reference
   loop -- per level ``(name, accesses, misses, writebacks)`` -- on the
-  case's hierarchy and on its fully-associative variant.
+  case's hierarchy and on its fully-associative variant.  So does the
+  shared path (the fast CM handing its first-level classification to
+  the simulator, :class:`~repro.cache.static_model.SimulatorTail`) on
+  the case's hierarchy, whose model side must also equal ``reference``.
 * the vectorized trace generator equals its per-iteration reference
   walker -- buffer names in order, ids, offsets and writes -- on the
   full trace and on one truncated prefix that ends mid-iteration.
@@ -64,7 +67,11 @@ from repro.cache import (
     trace_differences,
 )
 from repro.cache.simulator import reference_simulate_hierarchy
-from repro.cache.static_model import CacheModelResult, LevelCounters
+from repro.cache.static_model import (
+    CacheModelResult,
+    LevelCounters,
+    SimulatorTail,
+)
 from repro.runtime import Deadline
 from repro.verify.generator import (
     KernelSpec,
@@ -339,19 +346,35 @@ def run_case(spec: KernelSpec) -> CaseResult:
 
     # --- differential: vectorized simulator vs the reference loop --------
     result.checks_run.append("simulator-diff")
-    for kind, geometry in (
-        ("SA", hierarchy), ("FA", hierarchy.fully_associative()),
-    ):
-        fast_levels = (
-            sim if geometry is hierarchy
-            else simulate_hierarchy(trace, geometry)
-        ).counters()
-        reference_levels = reference_simulate_hierarchy(
-            trace, geometry
-        ).counters()
-        for fast_level, reference_level in zip(
-            fast_levels, reference_levels
-        ):
+    shared = polyufc_cm(
+        trace, hierarchy, engine="fast",
+        hardware=SimulatorTail(hierarchy),
+    )
+    _diff_counters(
+        "simulator-diff",
+        "reference",
+        reference.counters(),
+        "shared-fast",
+        shared.counters(),
+        result.disagreements,
+    )
+    reference_sa = reference_simulate_hierarchy(trace, hierarchy).counters()
+    fa = hierarchy.fully_associative()
+    compared = [
+        ("SA", sim.counters(), reference_sa),
+        (
+            "FA", simulate_hierarchy(trace, fa).counters(),
+            reference_simulate_hierarchy(trace, fa).counters(),
+        ),
+    ]
+    if shared.hardware is None:
+        result.disagreements.append(
+            Disagreement("simulator-diff", "the shared path ran no tail")
+        )
+    else:
+        compared.append(("SA shared", shared.hardware.counters(), reference_sa))
+    for kind, vectorized, reference_levels in compared:
+        for fast_level, reference_level in zip(vectorized, reference_levels):
             if fast_level != reference_level:
                 result.disagreements.append(
                     Disagreement(

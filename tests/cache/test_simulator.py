@@ -2,7 +2,9 @@
 
 The vectorized simulator must be bit-for-bit the per-access reference
 loop: the same hits, misses and writebacks at every level *and* the same
-next-level stream (fetches and dirty victims) in the same order.
+next-level stream (fetches and dirty victims) in the same order.  So
+must the shared path, where one first-level classification feeds both
+the CM's write-through tail and the simulator's write-back tail.
 """
 
 import numpy as np
@@ -16,11 +18,13 @@ from repro.cache import (
     simulate_hierarchy,
 )
 from repro.cache import fast_model
+from repro.cache.fast_model import classify_misses, model_level
 from repro.cache.simulator import (
     _reference_level,
     _simulate_level,
     reference_simulate_hierarchy,
 )
+from repro.cache.static_model import SimulatorTail, _model_level, polyufc_cm
 from repro.hw.platform import get_platform
 from repro.ir.core import Buffer, F64
 from tests.cache.test_engine_agreement import ALL_BENCHMARKS, _build
@@ -262,6 +266,113 @@ class TestVectorizedHierarchy:
         )
 
 
+def _level_result(result):
+    """A level tuple with its streams as plain lists."""
+    return tuple(
+        part.tolist() if isinstance(part, np.ndarray) else part
+        for part in result
+    )
+
+
+def assert_shared_path_matches(trace, hierarchy):
+    """One first-level classification through both tails equals the
+    standalone fast paths and the per-access references."""
+    lines = np.ascontiguousarray(
+        trace.line_ids(hierarchy.line_bytes), dtype=np.int64
+    )
+    writes = trace.is_write
+    first = hierarchy.levels[0]
+    stages = classify_misses(lines, first)
+
+    shared = _level_result(model_level(lines, writes, first, stages=stages))
+    assert shared == _level_result(model_level(lines, writes, first))
+    assert shared == _level_result(
+        _model_level(lines.tolist(), writes.tolist(), first)
+    )
+    shared = _level_result(_simulate_level(lines, writes, first, stages))
+    assert shared == _level_result(_simulate_level(lines, writes, first))
+    assert shared == _level_result(
+        _reference_level(lines.tolist(), writes.tolist(), first)
+    )
+
+    reference = reference_simulate_hierarchy(trace, hierarchy).counters()
+    assert simulate_hierarchy(trace, hierarchy).counters() == reference
+    assert (
+        simulate_hierarchy(trace, hierarchy, stages).counters() == reference
+    )
+    tail = SimulatorTail(hierarchy)
+    cm = polyufc_cm(trace, hierarchy, engine="fast", hardware=tail)
+    assert cm.hardware.counters() == reference
+    assert (
+        cm.counters()
+        == polyufc_cm(trace, hierarchy, engine="reference").counters()
+    )
+
+
+class TestSharedClassification:
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    @pytest.mark.parametrize("num_sets", [1, 2, 8])
+    def test_random_streams_one_level(self, num_sets, assoc):
+        rng = np.random.default_rng(1000 + num_sets * 10 + assoc)
+        hierarchy = CacheHierarchy((level_config(num_sets, assoc),))
+        for _ in range(10):
+            n = int(rng.integers(1, 400))
+            offsets = rng.integers(0, int(rng.integers(1, 80)), n) * 8
+            writes = rng.random(n) < rng.random()
+            assert_shared_path_matches(
+                synthetic_trace(offsets, writes), hierarchy
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multilevel_traces(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(50, 3000))
+        offsets = rng.integers(0, int(rng.integers(64, 4096)), n)
+        writes = rng.random(n) < rng.random()
+        hierarchy = small_hierarchy(
+            l1_lines=int(rng.choice([2, 4, 8])),
+            assoc=int(rng.choice([1, 2])),
+            levels=int(rng.integers(1, 4)),
+        )
+        assert_shared_path_matches(synthetic_trace(offsets, writes), hierarchy)
+
+    def test_empty_stream(self):
+        assert_shared_path_matches(
+            synthetic_trace([], buffer_len=1), small_hierarchy(levels=2)
+        )
+
+    def test_tail_only_for_the_modelled_hierarchy(self):
+        trace = synthetic_trace(np.arange(0, 800, 8))
+        hierarchy = small_hierarchy(levels=2)
+        tail = SimulatorTail(hierarchy)
+        for geometry, engine in (
+            (hierarchy.fully_associative(), "fast"),
+            (hierarchy, "reference"),
+        ):
+            cm = polyufc_cm(trace, geometry, engine=engine, hardware=tail)
+            assert cm.hardware is None
+        assert tail.seconds == 0.0
+        cm = polyufc_cm(trace, hierarchy, engine="fast", hardware=tail)
+        assert cm.hardware is not None and tail.seconds > 0.0
+
+    def test_failed_tail_keeps_the_model(self, monkeypatch):
+        from repro.cache import static_model
+
+        def broken(*args, **kwargs):
+            raise MemoryError("simulated")
+
+        trace = synthetic_trace(np.arange(0, 800, 8), np.arange(100) % 3 == 0)
+        hierarchy = small_hierarchy(levels=2)
+        expected = polyufc_cm(trace, hierarchy, engine="fast")
+        monkeypatch.setattr(static_model, "simulate_hierarchy", broken)
+        cm = polyufc_cm(
+            trace, hierarchy, engine="fast",
+            hardware=SimulatorTail(hierarchy),
+        )
+        assert cm.hardware is None
+        assert cm == expected
+
+
 class TestRegistryKernels:
     """Every registered kernel, small sizes, through the real platforms
     (plus a tiny hierarchy where the small working sets do evict)."""
@@ -280,9 +391,9 @@ class TestRegistryKernels:
         for hierarchy in (
             get_platform("rpl").hierarchy,
             get_platform("bdw").hierarchy,
-            self.TINY,
         ):
-            assert (
-                simulate_hierarchy(trace, hierarchy).counters()
-                == reference_simulate_hierarchy(trace, hierarchy).counters()
-            ), name
+            assert_shared_path_matches(trace, hierarchy)
+        assert (
+            simulate_hierarchy(trace, self.TINY).counters()
+            == reference_simulate_hierarchy(trace, self.TINY).counters()
+        ), name
