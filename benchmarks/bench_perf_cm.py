@@ -40,7 +40,10 @@ import numpy as np
 
 from repro.benchsuite.polybench import POLYBENCH_BUILDERS
 from repro.cache import (
+    clear_memo,
     generate_trace,
+    line_stream,
+    memoized_stream,
     polyufc_cm,
     reference_generate_trace,
     trace_differences,
@@ -204,22 +207,43 @@ def sa_regression_row():
     }
 
 
-def line_ids_section(reps):
-    """Repeat-hierarchy trace path: ``line_ids`` cold vs memoized."""
+def line_stream_section(reps):
+    """The stream memo on 2mm: a cold ``line_stream`` build vs a memo hit.
+
+    A hit re-fingerprints the module (its printed IR), so it is timed
+    through ``memoized_stream`` as the CM stage calls it.  Bytes per
+    access compare what the memo holds with the trace it replaces.
+    """
     module = POLYBENCH_BUILDERS["2mm"]()
     trace = generate_trace(module)
     line_bytes = PLATFORMS["rpl"]().hierarchy.line_bytes
-    cold_s, _ = time_call(lambda: trace.line_ids(line_bytes), 1)
-    warm_s, _ = time_call(lambda: trace.line_ids(line_bytes), max(reps, 3))
+    cold_s, stream = time_call(lambda: line_stream(trace, line_bytes), 1)
+    clear_memo()
+    memoized_stream(module, None, line_bytes)
+    warm_s, hit = time_call(
+        lambda: memoized_stream(module, None, line_bytes), max(reps, 3)
+    )
+    clear_memo()
+    if not np.array_equal(hit.lines, stream.lines):
+        raise SystemExit("line stream: memo hit != fresh build on 2mm")
+    trace_bytes = sum(
+        column.nbytes
+        for column in (trace.buffer_ids, trace.offsets, trace.is_write)
+    )
     print(
-        f"{'line_ids 2mm':>20} cold={cold_s:.4f}s  warm={warm_s:.6f}s"
+        f"{'line_stream 2mm':>20} cold={cold_s:.4f}s  hit={warm_s:.6f}s  "
+        f"{stream.nbytes / len(trace):.0f} B/access "
+        f"(trace {trace_bytes / len(trace):.0f})"
     )
     return {
         "module": "2mm",
         "accesses": len(trace),
         "cold_s": round(cold_s, 6),
-        "warm_s": round(warm_s, 9),
+        "hit_s": round(warm_s, 9),
         "speedup": round(cold_s / warm_s, 2) if warm_s > 1e-9 else None,
+        "line_dtype": str(stream.lines.dtype),
+        "bytes_per_access": stream.nbytes / len(trace),
+        "trace_bytes_per_access": trace_bytes / len(trace),
     }
 
 
@@ -240,7 +264,7 @@ def main(argv=None):
     fast_reps = 1 if args.smoke else 2
     rows = cm_rows(cases, reps, fast_reps)
     sa_check = sa_regression_row()
-    line_ids = line_ids_section(reps)
+    stream = line_stream_section(reps)
 
     speedups = [row["speedup"] for row in rows]
     symbolic_speedups = [
@@ -258,7 +282,7 @@ def main(argv=None):
         "smoke": args.smoke,
         "rows": rows,
         "sa_crosscheck": sa_check,
-        "line_ids": line_ids,
+        "line_stream": stream,
         "max_speedup": max(speedups),
         "max_symbolic_speedup": (
             max(symbolic_speedups) if symbolic_speedups else None

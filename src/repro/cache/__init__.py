@@ -17,7 +17,9 @@ and Fig. 8.
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
 from repro.cache.trace import (
     AccessTrace,
+    LineStream,
     generate_trace,
+    line_stream,
     reference_generate_trace,
     trace_differences,
 )
@@ -33,7 +35,7 @@ from repro.cache.static_model import (
 from repro.cache.memo import (
     clear_memo,
     memoized_cm_with_note,
-    memoized_trace,
+    memoized_stream,
     unit_fingerprint,
 )
 from repro.cache.symbolic_model import SymbolicUnsupported, symbolic_cm
@@ -47,7 +49,9 @@ __all__ = [
     "CacheHierarchy",
     "CacheLevelConfig",
     "AccessTrace",
+    "LineStream",
     "generate_trace",
+    "line_stream",
     "reference_generate_trace",
     "trace_differences",
     "CacheSimResult",
@@ -61,7 +65,7 @@ __all__ = [
     "resolve_engine",
     "clear_memo",
     "memoized_cm_with_note",
-    "memoized_trace",
+    "memoized_stream",
     "unit_fingerprint",
     "SymbolicUnsupported",
     "symbolic_cm",

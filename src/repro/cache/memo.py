@@ -1,24 +1,33 @@
-"""Memoized trace generation and PolyUFC-CM evaluation.
+"""Memoized line streams and PolyUFC-CM evaluation.
 
-Benchmark sweeps and the Fig. 6/7/8 experiment harnesses characterize the
-same units over and over (same ops, same problem sizes, same hierarchy).
-This module gives those call sites content-addressed reuse:
+Benchmark sweeps, the Fig. 6/7/8 experiment harnesses and the service
+characterize the same units over and over: every objective/epsilon
+variant of a job repeats its CM, and the rpl and bdw jobs of one kernel
+read the same trace (both use 64-byte lines).  This module gives those
+call sites content-addressed reuse through two in-process LRUs:
 
-* :func:`unit_fingerprint` -- a stable digest of everything the trace+CM
-  result depends on: the printed IR of the traced ops (which covers buffer
-  shapes, dtypes and module params), the cache hierarchy geometry, the
-  thread count, the parallel flag, the engine, and the trace budget.
-* :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`;
-  :func:`lookup_trace` reads that LRU without generating or inserting.
-* :func:`memoized_cm_with_note` -- in-process LRU over the full trace+CM
-  evaluation.  A result whose evaluation also ran the hardware
-  simulator's tail (:class:`~repro.cache.static_model.SimulatorTail`)
-  keeps that small simulation, so a later hit hands it out too.
+* :func:`trace_fingerprint` / :func:`unit_fingerprint` -- stable digests
+  of what a trace, and a trace+CM result, depend on: the printed IR of
+  the traced ops (which covers buffer shapes, dtypes and module params)
+  and the trace budget; for a unit also the cache hierarchy geometry,
+  the thread count, the parallel flag and the engine.  They match across
+  jobs only because every lowering pass names what it generates
+  deterministically.
+* :func:`memoized_stream` -- the LRU of
+  :class:`~repro.cache.trace.LineStream` s, the int32 line ids and write
+  flags the engines read (5 bytes per access), keyed on the trace
+  fingerprint and the line size and bounded by the bytes it holds
+  (:data:`STREAM_BUDGET_BYTES`).  :func:`lookup_stream` reads it without
+  generating or inserting.
+* :func:`memoized_cm_with_note` -- the LRU of trace+CM results, keyed on
+  the unit fingerprint and bounded by :data:`CM_CAPACITY` entries.  A
+  result whose evaluation also ran the hardware simulator's tail
+  (:class:`~repro.cache.static_model.SimulatorTail`) keeps that small
+  simulation, so a later hit hands it out too.
 
-Both LRUs hold :data:`MEMO_CAPACITY` entries and live only as long as the
-process: results that must outlive it belong in the service's
-``ResultStore``.  Set ``REPRO_CM_MEMO=0`` to disable all reuse (every
-call recomputes).
+Both live only as long as the process: results that must outlive it
+belong in the service's ``ResultStore``.  Set ``REPRO_CM_MEMO=0`` to
+disable all reuse (every call recomputes and nothing is kept).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import logging
 import os
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.cache.config import CacheHierarchy
 from repro.cache.static_model import (
@@ -38,7 +47,7 @@ from repro.cache.static_model import (
     polyufc_cm,
     resolve_engine,
 )
-from repro.cache.trace import AccessTrace, generate_trace
+from repro.cache.trace import LineStream, generate_trace, line_stream
 from repro.ir.core import Module, Op
 from repro.ir.printer import print_module
 from repro.runtime import Deadline
@@ -57,8 +66,14 @@ MEMO_VERSION = 4
 
 _MEMO_ENV = "REPRO_CM_MEMO"
 
-#: Entries per in-process LRU (traces and CM results each).
-MEMO_CAPACITY = 64
+#: Entries of the CM LRU: every unit of the benchmark registry on both
+#: platforms, set- and fully-associative (81 x 2 x 2), at about 0.5 KB each.
+CM_CAPACITY = 324
+
+#: Bytes of line streams the stream LRU holds.  The distinct streams of
+#: perfbench's service_mixed (33 streams, 95 MiB) and cold_registry (26,
+#: 72 MiB) fit whole.
+STREAM_BUDGET_BYTES = 256 << 20
 
 
 def memo_enabled() -> bool:
@@ -66,44 +81,67 @@ def memo_enabled() -> bool:
 
 
 class _LRU:
-    """A small thread-safe LRU map of :data:`MEMO_CAPACITY` entries."""
+    """A thread-safe LRU map bounded by the summed weight of its values.
 
-    def __init__(self):
-        self._data: "OrderedDict[str, object]" = OrderedDict()
+    ``limit`` is called for the bound at every insertion; ``weigh`` gives
+    a value's weight once, when it is inserted.
+    """
+
+    def __init__(
+        self, limit: Callable[[], int], weigh: Callable[[object], int]
+    ):
+        self._limit = limit
+        self._weigh = weigh
+        self._data: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
         self._lock = threading.Lock()
+        self.weight = 0
         self.hits = 0
         self.misses = 0
 
     def get(self, key: str):
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return None
+            entry = self._data.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.hits += 1
+            return entry[0]
 
     def put(self, key: str, value) -> None:
+        """Keep ``value`` as the newest entry and evict the oldest ones
+        until the weight fits the bound.  A value heavier than the bound
+        is not kept; one that replaces an entry takes its weight's place.
+        """
+        weight = self._weigh(value)
+        limit = self._limit()
+        if weight > limit:
+            return
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > MEMO_CAPACITY:
-                self._data.popitem(last=False)
+            replaced = self._data.pop(key, None)
+            if replaced is not None:
+                self.weight -= replaced[1]
+            self._data[key] = (value, weight)
+            self.weight += weight
+            while self.weight > limit:
+                _key, (_value, evicted) = self._data.popitem(last=False)
+                self.weight -= evicted
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self.weight = 0
             self.hits = 0
             self.misses = 0
 
 
-_trace_lru = _LRU()
-_cm_lru = _LRU()
+_stream_lru = _LRU(lambda: STREAM_BUDGET_BYTES, lambda stream: stream.nbytes)
+_cm_lru = _LRU(lambda: CM_CAPACITY, lambda entry: 1)
 
 
 def clear_memo() -> None:
-    """Drop every in-process memoized trace and CM result."""
-    _trace_lru.clear()
+    """Drop every in-process memoized line stream and CM result."""
+    _stream_lru.clear()
     _cm_lru.clear()
 
 
@@ -171,45 +209,58 @@ def unit_fingerprint(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def memoized_trace(
+def _stream_key(
     module: Module,
-    ops: Optional[Sequence[Op]] = None,
+    ops: Optional[Sequence[Op]],
+    line_bytes: int,
+    max_accesses: int = 60_000_000,
+) -> str:
+    return f"{trace_fingerprint(module, ops, max_accesses)}/{line_bytes}"
+
+
+def memoized_stream(
+    module: Module,
+    ops: Optional[Sequence[Op]],
+    line_bytes: int,
     max_accesses: int = 60_000_000,
     deadline: Optional[Deadline] = None,
-) -> AccessTrace:
-    """``generate_trace`` behind the in-process LRU.
+) -> LineStream:
+    """The ops' line stream for ``line_bytes``-byte lines, behind the LRU.
 
-    A ``deadline`` is only consulted by the generation itself -- an
-    interrupted generation raises before anything is cached, so the memo
-    never stores partial traces.
+    A miss generates the trace, derives the stream and lets the trace go.
+    A ``deadline`` is only consulted by the generation -- an interrupted
+    generation raises before anything is cached, so the memo never holds
+    a partial stream.
     """
-    if not memo_enabled():
-        return generate_trace(
+    key = None
+    if memo_enabled():
+        key = _stream_key(module, ops, line_bytes, max_accesses)
+        cached = _stream_lru.get(key)
+        if cached is not None:
+            return cached
+    stream = line_stream(
+        generate_trace(
             module, ops, max_accesses=max_accesses, deadline=deadline
-        )
-    key = trace_fingerprint(module, ops, max_accesses)
-    cached = _trace_lru.get(key)
-    if cached is not None:
-        return cached
-    trace = generate_trace(
-        module, ops, max_accesses=max_accesses, deadline=deadline
+        ),
+        line_bytes,
     )
-    _trace_lru.put(key, trace)
-    return trace
+    if key is not None:
+        _stream_lru.put(key, stream)
+    return stream
 
 
-def lookup_trace(
-    module: Module, ops: Optional[Sequence[Op]] = None
-) -> Optional[AccessTrace]:
-    """The full-budget trace :func:`memoized_trace` holds, or None.
+def lookup_stream(
+    module: Module, ops: Optional[Sequence[Op]], line_bytes: int
+) -> Optional[LineStream]:
+    """The full-budget stream :func:`memoized_stream` holds, or None.
 
-    A pure lookup: it never generates a trace and never inserts one, so
-    a caller that only wants to reuse a trace somebody else built (the
-    hardware side after the CM stage) cannot pin traces in the LRU.
+    A pure lookup: it never generates a trace and never inserts, so a
+    caller that only wants to reuse a stream somebody else built (the
+    hardware side after the CM stage) cannot pin streams in the LRU.
     """
     if not memo_enabled():
         return None
-    return _trace_lru.get(trace_fingerprint(module, ops))
+    return _stream_lru.get(_stream_key(module, ops, line_bytes))
 
 
 def _compute_cm(
@@ -258,11 +309,12 @@ def _compute_cm(
                 "trace engine", module.name, exc,
             )
             engine_name = "fast"
-    trace = memoized_trace(
-        module, ops, max_accesses=max_accesses, deadline=deadline
+    stream = memoized_stream(
+        module, ops, hierarchy.line_bytes, max_accesses=max_accesses,
+        deadline=deadline,
     )
     cm = polyufc_cm(
-        trace, hierarchy, threads=threads, parallel=parallel,
+        stream, hierarchy, threads=threads, parallel=parallel,
         engine=engine_name, deadline=deadline, hardware=hardware,
     )
     return cm, note
@@ -281,11 +333,11 @@ def memoized_cm_with_note(
 ) -> Tuple[CacheModelResult, Optional[str]]:
     """The trace+CM evaluation of one unit, memoized, with its note.
 
-    Layering: in-process LRU, then the real computation -- whose trace
-    goes through :func:`memoized_trace` so an immediately following
-    different-hierarchy request reuses it.  A ``deadline`` interrupts
-    the computation at chunk boundaries and nothing partial is ever
-    cached.
+    Layering: in-process LRU, then the real computation -- whose line
+    stream goes through :func:`memoized_stream`, so a later request for
+    another hierarchy with the same line size (the other platform, the
+    fully-associative variant) reuses it.  A ``deadline`` interrupts the
+    computation at chunk boundaries and nothing partial is ever cached.
 
     The second element is the structured symbolic-fallback note
     (``None`` unless ``engine="symbolic"`` had to fall back), cached

@@ -21,13 +21,13 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
 from repro.cache.fast_model import MissClassification, classify_misses
-from repro.cache.trace import AccessTrace
+from repro.cache.trace import AccessTrace, LineStream, line_stream
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,22 @@ def _simulate_level(
 
 
 def simulate_hierarchy(
-    trace: AccessTrace,
+    trace: Union[AccessTrace, LineStream],
     hierarchy: CacheHierarchy,
     first_level: Optional[MissClassification] = None,
 ) -> CacheSimResult:
-    """Run the trace through every level of the hierarchy.
+    """Run a line stream through every level of the hierarchy.
 
+    ``trace`` is the :class:`~repro.cache.trace.LineStream` for the
+    hierarchy's line size, or a trace to derive it from.
     ``first_level`` is the :func:`~repro.cache.fast_model.classify_misses`
-    result of the trace's line ids through ``hierarchy.levels[0]`` when
-    the caller already holds it; the first level then runs only its
+    result of those line ids through ``hierarchy.levels[0]`` when the
+    caller already holds it; the first level then runs only its
     write-back tail, and the levels below run as always.
     """
-    lines = np.ascontiguousarray(
-        trace.line_ids(hierarchy.line_bytes), dtype=np.int64
-    )
-    writes = np.ascontiguousarray(trace.is_write, dtype=bool)
+    stream = line_stream(trace, hierarchy.line_bytes)
+    lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
+    writes = stream.writes
     stats: List[LevelStats] = []
     for config in hierarchy.levels:
         accesses = int(lines.size)
@@ -218,7 +219,7 @@ def simulate_hierarchy(
         stats.append(
             LevelStats(config.name, accesses, hits, misses, writebacks)
         )
-    return CacheSimResult(tuple(stats), hierarchy.line_bytes, len(trace))
+    return CacheSimResult(tuple(stats), hierarchy.line_bytes, len(stream))
 
 
 def _reference_level(

@@ -36,7 +36,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.cache.fast_model import (
     model_level as _fast_model_level,
 )
 from repro.cache.simulator import CacheSimResult, simulate_hierarchy
-from repro.cache.trace import AccessTrace
+from repro.cache.trace import AccessTrace, LineStream, line_stream
 from repro.runtime import Deadline, check as _check_deadline, faults
 
 log = logging.getLogger("repro.runtime")
@@ -257,7 +257,7 @@ class SimulatorTail:
     seconds: float = 0.0
 
     def run(
-        self, trace: AccessTrace, first_level: MissClassification
+        self, stream: LineStream, first_level: MissClassification
     ) -> Optional[CacheSimResult]:
         """The simulation, or ``None`` when it failed.
 
@@ -268,7 +268,7 @@ class SimulatorTail:
         """
         started = time.perf_counter()
         try:
-            return simulate_hierarchy(trace, self.hierarchy, first_level)
+            return simulate_hierarchy(stream, self.hierarchy, first_level)
         except Exception as exc:
             log.warning(
                 "simulator tail failed (%s); dropping the simulation", exc,
@@ -280,7 +280,7 @@ class SimulatorTail:
 
 
 def polyufc_cm(
-    trace: AccessTrace,
+    trace: Union[AccessTrace, LineStream],
     hierarchy: CacheHierarchy,
     threads: int = 1,
     parallel: bool = False,
@@ -290,6 +290,8 @@ def polyufc_cm(
 ) -> CacheModelResult:
     """Run PolyUFC-CM over a kernel's scheduled access relation.
 
+    ``trace`` is the relation's :class:`~repro.cache.trace.LineStream`
+    for the hierarchy's line size, or a trace to derive it from.
     ``threads``/``parallel`` enable the paper's OpenMP sharing heuristic:
     miss counts of loop-parallel kernels are divided by the thread count.
     ``engine`` selects the level evaluator (:data:`CM_ENGINES`); the
@@ -308,18 +310,18 @@ def polyufc_cm(
     engine = resolve_engine(engine)
     faults.fire("cm.engine")
     _check_deadline(deadline, "cm.engine")
-    line_ids = trace.line_ids(hierarchy.line_bytes)
+    stream = line_stream(trace, hierarchy.line_bytes)
     if engine in ("symbolic", "parametric"):
         # Both engines are trace-free; once a trace has been
         # materialized (approximate rung, direct callers) the vectorized
         # trace evaluator is the right tool, so the name degrades to it.
         engine = "fast"
     if engine == "fast":
-        lines = np.ascontiguousarray(line_ids, dtype=np.int64)
-        writes = np.ascontiguousarray(trace.is_write, dtype=bool)
+        lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
+        writes = stream.writes
     else:
-        lines = line_ids.tolist()
-        writes = trace.is_write.tolist()
+        lines = stream.lines.tolist()
+        writes = stream.writes.tolist()
     share = (
         hardware is not None
         and engine == "fast"
@@ -374,8 +376,8 @@ def polyufc_cm(
         )
     del lines, writes
     return CacheModelResult(
-        tuple(stats), hierarchy.line_bytes, len(trace), threads,
-        hardware=hardware.run(trace, first_level) if share else None,
+        tuple(stats), hierarchy.line_bytes, len(stream), threads,
+        hardware=hardware.run(stream, first_level) if share else None,
     )
 
 

@@ -21,12 +21,17 @@ work between deadline checkpoints and the temporary arrays stay bounded
 whatever the problem size.  :func:`reference_generate_trace`, a
 per-iteration walker, is the oracle it must equal bit for bit
 (:func:`trace_differences` compares the two).
+
+The cache engines and the simulator do not read the trace itself but its
+:func:`line_stream`: one global cache-line id per access plus the write
+flags, 5 bytes per access where the trace takes 13.  That stream is what
+the memo (:mod:`repro.cache.memo`) keeps between jobs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -65,24 +70,14 @@ class AccessTrace:
     """A flat memory trace.
 
     ``buffer_ids[i]`` indexes into ``buffers``; ``offsets[i]`` is the element
-    offset within that buffer; ``is_write[i]`` marks stores.
+    offset within that buffer; ``is_write[i]`` marks stores.  The cache
+    engines read its :func:`line_stream` instead.
     """
 
     buffers: List[Buffer]
     buffer_ids: np.ndarray
     offsets: np.ndarray
     is_write: np.ndarray
-    #: Memoized ``line_ids`` results keyed by ``line_bytes`` -- SA and FA
-    #: hierarchies share the line geometry, so re-deriving the array per
-    #: level/hierarchy is pure waste.
-    _line_cache: Dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Per-access byte offsets within their buffer (independent of the
-    #: line size), computed once and shared by every ``line_ids`` call.
-    _byte_offsets: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.buffer_ids)
@@ -97,35 +92,20 @@ class AccessTrace:
             cursor += lines * line_bytes
         return bases
 
-    def line_ids(self, line_bytes: int) -> np.ndarray:
-        """Global cache-line ids: buffers laid out line-aligned end to end.
+    def element_sizes(self) -> np.ndarray:
+        """Per-buffer element sizes in bytes."""
+        return np.array(
+            [buffer.dtype.size_bytes for buffer in self.buffers],
+            dtype=np.int64,
+        )
 
-        Results are memoized per ``line_bytes`` and the line-size-agnostic
-        within-buffer byte offsets are hoisted out, so multi-level and
-        multi-hierarchy evaluations of the same trace do the address
-        arithmetic exactly once.
-        """
-        cached = self._line_cache.get(line_bytes)
-        if cached is not None:
-            return cached
-        if self._byte_offsets is None:
-            element_sizes = np.array(
-                [b.dtype.size_bytes for b in self.buffers], dtype=np.int64
-            )
-            if len(self.buffers):
-                self._byte_offsets = (
-                    self.offsets * element_sizes[self.buffer_ids]
-                )
-            else:
-                self._byte_offsets = np.zeros(0, dtype=np.int64)
-        bases = self.buffer_bases(line_bytes)
-        if len(self.buffers):
-            byte_addr = bases[self.buffer_ids] + self._byte_offsets
-        else:
-            byte_addr = self._byte_offsets
-        ids = byte_addr // line_bytes
-        self._line_cache[line_bytes] = ids
-        return ids
+    def line_ids(self, line_bytes: int) -> np.ndarray:
+        """Global cache-line ids (int64): buffers laid out line-aligned end
+        to end.  Recomputed on every call."""
+        byte_addr = self.offsets * self.element_sizes()[self.buffer_ids]
+        byte_addr += self.buffer_bases(line_bytes)[self.buffer_ids]
+        byte_addr //= line_bytes
+        return byte_addr
 
     def footprint_bytes(self) -> int:
         """Total bytes of distinct elements touched.
@@ -139,10 +119,74 @@ class AccessTrace:
         key = self.buffer_ids.astype(np.int64) * span + self.offsets
         unique_ids = np.unique(key) // span
         counts = np.bincount(unique_ids, minlength=len(self.buffers))
-        sizes = np.array(
-            [b.dtype.size_bytes for b in self.buffers], dtype=np.int64
-        )
-        return int(counts @ sizes)
+        return int(counts @ self.element_sizes())
+
+
+@dataclass(frozen=True, eq=False)
+class LineStream:
+    """A trace as the cache engines read it: one line id per access.
+
+    ``lines[i]`` is :meth:`AccessTrace.line_ids` of access ``i`` for
+    ``line_bytes``-byte lines, stored as int32 when every id fits and as
+    int64 otherwise; ``writes[i]`` marks stores.  ``writes`` is the
+    stream's own array, never a view of the trace's, so a stream does not
+    keep its trace alive: 5 bytes per access against the trace's 13.
+    """
+
+    line_bytes: int
+    lines: np.ndarray
+    writes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    @property
+    def nbytes(self) -> int:
+        return self.lines.nbytes + self.writes.nbytes
+
+
+#: Accesses per step of :func:`line_stream`: the bound on its int64
+#: temporaries.
+_STREAM_STEP = 1 << 20
+
+_INT32 = np.iinfo(np.int32)
+
+
+def line_stream(
+    source: Union[AccessTrace, LineStream], line_bytes: int
+) -> LineStream:
+    """The line stream of ``source`` for ``line_bytes``-byte lines.
+
+    A :class:`LineStream` is returned as it is and must have that line
+    size.  A trace's ids are computed :data:`_STREAM_STEP` accesses at a
+    time straight into the int32 column; a step with an id outside int32
+    switches the whole stream to :meth:`AccessTrace.line_ids`.  Buffer
+    bases are multiples of the line size, so a buffer's first line plus
+    the line of the byte offset within it is the id ``line_ids`` gives.
+    """
+    if isinstance(source, LineStream):
+        if source.line_bytes != line_bytes:
+            raise ValueError(
+                f"a stream of {source.line_bytes}-byte lines cannot be "
+                f"read with {line_bytes}-byte lines"
+            )
+        return source
+    trace = source
+    sizes = trace.element_sizes()
+    first_lines = trace.buffer_bases(line_bytes) // line_bytes
+    lines = np.empty(len(trace), dtype=np.int32)
+    for start in range(0, len(trace), _STREAM_STEP):
+        part = slice(start, start + _STREAM_STEP)
+        ids = trace.buffer_ids[part]
+        step = trace.offsets[part] * sizes[ids]
+        step //= line_bytes
+        step += first_lines[ids]
+        if step.min() < _INT32.min or step.max() > _INT32.max:
+            lines = trace.line_ids(line_bytes)
+            break
+        lines[part] = step
+    writes = np.array(trace.is_write, dtype=bool)  # a copy, never a view
+    return LineStream(line_bytes, lines, writes)
 
 
 def generate_trace(
@@ -500,10 +544,11 @@ class _TraceGenerator:
             self.length = self.max_accesses
         except _TraceTruncated:  # the deadline expired while counting
             self.length = 0
-        # One allocation holds all three columns.  A long-running service
-        # keeps traces alive in its memo, and three arrays per trace
-        # fragmented its heap (perfbench service_mixed on a 2-vCPU host:
-        # peak RSS 967-1074 MB across seeds, 963-968 MB with one block).
+        # One allocation holds all three columns: three arrays per trace
+        # fragmented the heap of a service whose memo kept traces
+        # (perfbench service_mixed on a 2-vCPU host: peak RSS 967-1074 MB
+        # across seeds, 963-968 MB with one block).  Any view keeps the
+        # whole block alive, which is why a LineStream copies the flags.
         block = np.empty(13 * self.length, dtype=np.uint8)
         self.offsets = block[: 8 * self.length].view(np.int64)
         self.ids = block[8 * self.length: 12 * self.length].view(np.int32)

@@ -4,12 +4,16 @@ Each linalg op becomes one top-level ``affine.for`` nest whose arith-op
 count per iteration matches the op's unitary flop model.  The generated root
 loop is tagged with ``source_op``/``source_index`` attributes so the
 ML-PolyUFC passes can map analysis results back to linalg granularity.
+
+Loop names are numbered per call (``n<nest>_d<axis>``), so lowering one
+module twice prints the same IR: the memo's fingerprints
+(:mod:`repro.cache.memo`) key on that text.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import Iterator, List
 
 from repro.ir.core import IRError, Module, Op
 from repro.ir.builder import AffineBuilder
@@ -27,12 +31,10 @@ from repro.ir.dialects.linalg import (
 from repro.ir.dialects.torch_d import TorchOp
 from repro.isllite import LinExpr
 
-_nest_ids = itertools.count()
-
-
 def lower_linalg_to_affine(module: Module) -> Module:
     """A new module in which every linalg op is an affine loop nest."""
     lowered = module.clone_structure(f"{module.name}.affine")
+    nest_ids = itertools.count()
     for index, op in enumerate(module.ops):
         if isinstance(op, TorchOp):
             raise IRError(
@@ -40,7 +42,7 @@ def lower_linalg_to_affine(module: Module) -> Module:
             )
         if isinstance(op, LinalgOp):
             before = len(lowered.ops)
-            _lower_linalg_op(op, lowered)
+            _lower_linalg_op(op, lowered, nest_ids)
             for generated in lowered.ops[before:]:
                 generated.attrs["source_op"] = op
                 generated.attrs["source_index"] = index
@@ -56,8 +58,8 @@ def lower_linalg_to_affine(module: Module) -> Module:
     return lowered
 
 
-def _ivs(count: int) -> List[str]:
-    nest = next(_nest_ids)
+def _ivs(nest_ids: Iterator[int], count: int) -> List[str]:
+    nest = next(nest_ids)
     return [f"n{nest}_d{axis}" for axis in range(count)]
 
 
@@ -73,17 +75,19 @@ def _close_loops(stack) -> None:
         stack.pop().__exit__(None, None, None)
 
 
-def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
+def _lower_linalg_op(
+    op: LinalgOp, module: Module, nest_ids: Iterator[int]
+) -> None:
     builder = AffineBuilder(module)
     stack: List = []
     try:
         if isinstance(op, FillOp):
-            names = _ivs(op.output.rank)
+            names = _ivs(nest_ids, op.output.rank)
             _open_loops(builder, names, op.output.shape, stack)
             builder.store(builder.const(op.value), op.output, names)
         elif isinstance(op, MatmulOp):
             m_extent, n_extent, k_extent = op.iteration_extents()
-            m, n, k = _ivs(3)
+            m, n, k = _ivs(nest_ids, 3)
             _open_loops(builder, [m, n, k], (m_extent, n_extent, k_extent), stack)
             a = builder.load(op.a, [m, k])
             b = builder.load(op.b, [n, k] if op.transpose_b else [k, n])
@@ -91,7 +95,7 @@ def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
             builder.store(builder.add(c, builder.mul(a, b)), op.c, [m, n])
         elif isinstance(op, BatchMatmulOp):
             extents = op.iteration_extents()
-            names = _ivs(len(extents))
+            names = _ivs(nest_ids, len(extents))
             _open_loops(builder, names, extents, stack)
             batch = names[:-3]
             m, n, k = names[-3:]
@@ -105,7 +109,7 @@ def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
             )
         elif isinstance(op, Conv2DNchwFchwOp):
             extents = op.iteration_extents()
-            n, f, oh, ow, c, kh, kw = _ivs(7)
+            n, f, oh, ow, c, kh, kw = _ivs(nest_ids, 7)
             _open_loops(builder, [n, f, oh, ow, c, kh, kw], extents, stack)
             sh, sw = op.stride
             in_h = LinExpr.var(oh) * sh + LinExpr.var(kh)
@@ -117,14 +121,14 @@ def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
                 builder.add(acc, builder.mul(x, w)), op.output, [n, f, oh, ow]
             )
         elif isinstance(op, ElementwiseOp):
-            names = _ivs(op.output.rank)
+            names = _ivs(nest_ids, op.output.rank)
             _open_loops(builder, names, op.output.shape, stack)
             first = builder.load(op.inputs[0], names)
             builder.store(
                 _apply_elementwise(builder, op, first, names), op.output, names
             )
         elif isinstance(op, ReduceOp):
-            outer = _ivs(op.output.rank)
+            outer = _ivs(nest_ids, op.output.rank)
             _open_loops(builder, outer, op.output.shape, stack)
             if op.kind == "sum":
                 builder.store(builder.const(0.0), op.output, outer)
@@ -132,7 +136,7 @@ def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
                 builder.store(
                     builder.load(op.input, outer + [0]), op.output, outer
                 )
-            (inner,) = _ivs(1)
+            (inner,) = _ivs(nest_ids, 1)
             with builder.loop(inner, 0, op.input.shape[-1]):
                 acc = builder.load(op.output, outer)
                 element = builder.load(op.input, outer + [inner])
@@ -143,7 +147,7 @@ def _lower_linalg_op(op: LinalgOp, module: Module) -> None:
                 )
                 builder.store(combined, op.output, outer)
         elif isinstance(op, BroadcastCombineOp):
-            names = _ivs(op.input.rank)
+            names = _ivs(nest_ids, op.input.rank)
             _open_loops(builder, names, op.input.shape, stack)
             big = builder.load(op.input, names)
             small = builder.load(op.reduced, names[:-1])

@@ -15,8 +15,8 @@ fast engine classifies each unit's first cache level once and runs both
 the model's write-through tail and the simulator's write-back tail on
 it.  Every other unit (fully-associative CM, other engines, ``approx``
 or chart-served units, CM memo hits that hold no simulation) is
-simulated here, on the trace the CM stage left in the in-process trace
-memo when it is still there.
+simulated here, on the line stream the CM stage left in the in-process
+stream memo when it is still there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro.benchsuite import get_benchmark
-from repro.cache.memo import lookup_trace
+from repro.cache.memo import lookup_stream
 from repro.cache.parametric_model import (
     FamilyFitError,
     ParametricCharacterization,
@@ -52,10 +52,11 @@ def _hardware_rows(
 
     A unit whose CM already simulated the platform's hierarchy
     (``unit.cm.hardware``) uses that.  Any other unit is simulated on the
-    trace the CM stage memoized for the same ``(module, ops)`` when the
-    memo still holds it, and on a freshly generated one otherwise.  The
-    lookup never inserts: a unit the CM served without a trace
-    (symbolic, family charts) must not pin its trace in the memo.
+    line stream the CM stage memoized for the same ``(module, ops)`` and
+    line size when the memo still holds it, and on a freshly generated
+    trace otherwise.  The lookup never inserts: a unit
+    the CM served without a trace (symbolic, family charts) must not pin
+    its stream in the memo.
 
     A unit whose CM side degraded to ``timeout-cap`` is not simulated
     (the exact trace it needs is exactly what timed out) and a unit
@@ -81,10 +82,12 @@ def _hardware_rows(
             sim = unit.cm.hardware
         else:
             try:
-                trace = lookup_trace(result.tiled_module, unit.ops)
-                if trace is None:
-                    trace = generate_trace(result.tiled_module, unit.ops)
-                sim = simulate_hierarchy(trace, plat.hierarchy)
+                source = lookup_stream(
+                    result.tiled_module, unit.ops, plat.hierarchy.line_bytes
+                )
+                if source is None:
+                    source = generate_trace(result.tiled_module, unit.ops)
+                sim = simulate_hierarchy(source, plat.hierarchy)
             except DEGRADABLE_ERRORS as exc:
                 log.warning(
                     "hardware-side simulation of %s failed (%s); "

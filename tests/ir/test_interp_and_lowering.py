@@ -19,7 +19,7 @@ from repro.ir import (
     run_module,
 )
 from repro.ir.builder import AffineBuilder
-from repro.ir.dialects.affine import verify_affine
+from repro.ir.dialects.affine import AffineForOp, verify_affine
 from repro.ir.dialects.linalg import (
     BatchMatmulOp,
     BroadcastCombineOp,
@@ -178,6 +178,17 @@ class TestLinalgLowering:
             np.testing.assert_allclose(
                 linalg_out[name], affine_out[name], rtol=1e-7, atol=1e-10
             )
+
+    def test_lowering_twice_prints_identically(self):
+        module = self.cases()
+        first = lower_linalg_to_affine(module)
+        assert print_module(lower_linalg_to_affine(module)) == print_module(
+            first
+        )
+        names = [
+            op.iv_name for op in first.walk() if isinstance(op, AffineForOp)
+        ]
+        assert len(names) == len(set(names))
 
     def test_flop_counts_match_lowered_arith(self):
         """Each linalg op's flops() must equal the arith ops its nest runs."""

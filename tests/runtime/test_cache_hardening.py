@@ -182,6 +182,7 @@ class TestMemoHardening:
     def test_concurrent_memoized_cm_writers(self, monkeypatch):
         from repro.cache.memo import (
             _cm_lru,
+            _stream_lru,
             clear_memo,
             memoized_cm_with_note,
         )
@@ -205,6 +206,55 @@ class TestMemoHardening:
             thread.join()
         assert all(result == results[0] for result in results)
         assert len(_cm_lru._data) == 1
+        # Every worker that missed stored the unit's stream under one key.
+        ((stream, weight),) = _stream_lru._data.values()
+        assert _stream_lru.weight == weight == stream.nbytes
+
+    def test_stream_lru_byte_count_survives_racing_writers(
+        self, monkeypatch
+    ):
+        import sys
+
+        from repro.cache import generate_trace, line_stream, memo
+        from repro.cache.memo import _stream_lru, clear_memo
+
+        module, _hierarchy = self.small_inputs()
+        trace = generate_trace(module)
+        streams = [line_stream(trace, 64) for _ in range(4)]
+        budget = 3 * streams[0].nbytes
+        monkeypatch.setattr(memo, "STREAM_BUDGET_BYTES", budget)
+        clear_memo()
+        barrier = threading.Barrier(16, timeout=30)
+        errors = []
+
+        def writer(i):
+            barrier.wait()
+            try:
+                for round_ in range(2000):
+                    key = f"unit{(i + round_) % 5}"
+                    _stream_lru.put(key, streams[round_ % 4])
+                    _stream_lru.get(f"unit{round_ % 5}")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(i,)) for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        held = [weight for _stream, weight in _stream_lru._data.values()]
+        assert _stream_lru.weight == sum(held) <= budget
+        assert len(held) == 3
+        clear_memo()
 
 
 class TestReportCacheHardening:

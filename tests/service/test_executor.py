@@ -4,7 +4,7 @@ A job that still needs hardware rows (no store, or a store without its
 workload object) has the fast CM classify each set-associative unit's
 first cache level once and run the simulator's write-back tail on that
 same classification.  Every other unit is simulated by the executor, on
-the trace the CM stage already built when the memo still holds it.
+the line stream the CM stage already built when the memo still holds it.
 """
 
 import dataclasses
@@ -196,12 +196,12 @@ def test_chart_served_job_leaves_the_trace_memo_alone(spies, tmp_path):
 
     for ni in (16, 24, 32, 56):
         execute_report(gemm(ni), store=store)
-    entries = len(memo._trace_lru._data)
+    entries = len(memo._stream_lru._data)
     spies.clear()
     info = {}
     report = execute_report(gemm(40), store=store, family_info=info)
     assert info["source"] == "chart"
     # Nothing traced the unit on the CM side, so the hardware side built
-    # the trace itself -- and did not leave it in the memo.
+    # the trace itself -- and did not leave its stream in the memo.
     assert len(spies.hw_traces) == len(report.units)
-    assert len(memo._trace_lru._data) == entries
+    assert len(memo._stream_lru._data) == entries
