@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -125,30 +125,25 @@ def compute_time_s(platform: PlatformSpec, workload: KernelWorkload) -> float:
     return workload.flops / platform.peak_flops_per_sec(cores)
 
 
-def memory_time_s(
+def _llc_dram_time_s(
     platform: PlatformSpec,
     workload: KernelWorkload,
     f_uncore_ghz: float,
-    prefetch: bool = True,
-    dram_bw_fraction: float = 1.0,
-) -> float:
-    """Tm: L2 + LLC (uncore clock) + DRAM service time.
+    prefetch: bool,
+) -> Tuple[float, float]:
+    """The uncore-clocked terms: LLC service time and DRAM time.
 
-    ``dram_bw_fraction`` is the share of the socket's DRAM bandwidth this
-    execution may use -- 1.0 when the kernel owns the socket, less when
-    co-scheduled tenants contend for it (``repro.governor.tenancy``).
+    DRAM time is max(bandwidth-bound, latency-bound), both at the uncore
+    clock.
     """
-    line = platform.hierarchy.line_bytes
-    t_l2 = 0.0
-    if len(workload.level_accesses) >= 2:
-        t_l2 = workload.level_accesses[1] * line / platform.l2_bytes_per_sec
     t_llc = 0.0
     if len(workload.level_accesses) >= 3:
-        llc_bw = platform.llc_bandwidth(f_uncore_ghz)
-        t_llc = workload.level_accesses[2] * line / llc_bw
-    share = min(1.0, max(dram_bw_fraction, 1e-6))
-    bandwidth_bound = workload.dram_bytes / (
-        platform.dram_bandwidth(f_uncore_ghz) * share
+        line = platform.hierarchy.line_bytes
+        t_llc = workload.level_accesses[2] * line / platform.llc_bandwidth(
+            f_uncore_ghz
+        )
+    bandwidth_bound = workload.dram_bytes / platform.dram_bandwidth(
+        f_uncore_ghz
     )
     latency = platform.dram_latency_s(f_uncore_ghz)
     if prefetch:
@@ -156,7 +151,22 @@ def memory_time_s(
     latency_bound = (
         workload.dram_lines * latency / platform.mem_level_parallelism
     )
-    return t_l2 + t_llc + max(bandwidth_bound, latency_bound)
+    return t_llc, max(bandwidth_bound, latency_bound)
+
+
+def memory_time_s(
+    platform: PlatformSpec,
+    workload: KernelWorkload,
+    f_uncore_ghz: float,
+    prefetch: bool = True,
+) -> float:
+    """Tm: L2 + LLC (uncore clock) + DRAM service time."""
+    t_l2 = 0.0
+    if len(workload.level_accesses) >= 2:
+        line = platform.hierarchy.line_bytes
+        t_l2 = workload.level_accesses[1] * line / platform.l2_bytes_per_sec
+    t_llc, dram = _llc_dram_time_s(platform, workload, f_uncore_ghz, prefetch)
+    return t_l2 + t_llc + dram
 
 
 def uncore_time_s(
@@ -164,30 +174,14 @@ def uncore_time_s(
     workload: KernelWorkload,
     f_uncore_ghz: float,
     prefetch: bool = True,
-    dram_bw_fraction: float = 1.0,
 ) -> float:
     """The uncore-clocked share of the memory time: LLC service + DRAM.
 
     (Excludes the private-L2 term, which runs at core clock; this is the
     signal a frequency-aware uncore runtime would react to.)
     """
-    line = platform.hierarchy.line_bytes
-    t_llc = 0.0
-    if len(workload.level_accesses) >= 3:
-        t_llc = workload.level_accesses[2] * line / platform.llc_bandwidth(
-            f_uncore_ghz
-        )
-    share = min(1.0, max(dram_bw_fraction, 1e-6))
-    bandwidth_bound = workload.dram_bytes / (
-        platform.dram_bandwidth(f_uncore_ghz) * share
-    )
-    latency = platform.dram_latency_s(f_uncore_ghz)
-    if prefetch:
-        latency *= 1.0 - platform.prefetch_hiding
-    latency_bound = (
-        workload.dram_lines * latency / platform.mem_level_parallelism
-    )
-    return t_llc + max(bandwidth_bound, latency_bound)
+    t_llc, dram = _llc_dram_time_s(platform, workload, f_uncore_ghz, prefetch)
+    return t_llc + dram
 
 
 def _noise(platform: PlatformSpec, tag: str, sigma_scale: float = 1.0) -> float:

@@ -89,8 +89,8 @@ def exhaustion_warning(
 ) -> str:
     """The structured ``max_intervals`` truncation warning.
 
-    One format shared by every interval-driven driver (reactive, DUF,
-    adaptive), machine-matchable via ``SequenceResult.truncated``.
+    One format shared by both interval-driven drivers (reactive and
+    DUF), machine-matchable via ``SequenceResult.truncated``.
     """
     return (
         f"max_intervals={budget} exhausted in kernel {kernel!r} "

@@ -6,18 +6,10 @@ from repro.search.polyufc_search import (
     SearchStep,
     polyufc_search,
 )
-from repro.search.joint import (
-    JOINT_OBJECTIVES,
-    JointCapResult,
-    joint_cap_search,
-)
 
 __all__ = [
     "SearchConfig",
     "SearchResult",
     "SearchStep",
     "polyufc_search",
-    "JOINT_OBJECTIVES",
-    "JointCapResult",
-    "joint_cap_search",
 ]

@@ -1,14 +1,14 @@
 """Edge-case coverage for the simulated hw drivers.
 
-Regression net for the boundary conditions the governor subsystem leans
-on: zero-duration kernels, caps pinned exactly at the uncore bounds,
-kernels shorter than one control interval, and ``max_intervals``
-truncation turning into a structured warning rather than an exception.
+Regression net for the boundary conditions of the paper's baselines --
+the reactive UFS-like driver, DUF and fixed caps: zero-duration kernels,
+caps pinned exactly at the uncore bounds, kernels shorter than one
+control interval, and ``max_intervals`` truncation turning into a
+structured warning rather than an exception.
 """
 
 import pytest
 
-from repro.governor import AdaptiveConfig, run_adaptive_sequence
 from repro.hw import (
     GovernorConfig,
     KernelWorkload,
@@ -49,13 +49,6 @@ class TestZeroDurationKernels:
         assert result.runs[0].time_s == 0.0
         assert not result.truncated
 
-    def test_adaptive_does_not_hang(self, platform):
-        result = run_adaptive_sequence(
-            platform, [(empty_workload(), 2.0), (cb_workload(), 1.2)]
-        )
-        assert len(result.runs) == 2
-        assert not result.truncated
-
     def test_duf_does_not_hang(self, platform):
         result = run_duf_sequence(
             platform, [empty_workload(), cb_workload()]
@@ -78,24 +71,6 @@ class TestCapsAtBounds:
             platform, [(bb_workload(), f_max)], noisy=False
         )
         assert result.runs[0].f_uncore_ghz == f_max
-
-    def test_adaptive_pinned_at_f_min_stays_in_range(self, platform):
-        """A probe below f_min is rejected by the clamp; the climb flips
-        direction instead of escaping the grid."""
-        f_min = platform.uncore.f_min_ghz
-        result = run_adaptive_sequence(
-            platform, [(cb_workload(), f_min)] * 3
-        )
-        for run in result.runs:
-            assert f_min <= run.f_uncore_ghz <= platform.uncore.f_max_ghz
-
-    def test_adaptive_pinned_at_f_max_stays_in_range(self, platform):
-        f_max = platform.uncore.f_max_ghz
-        result = run_adaptive_sequence(
-            platform, [(bb_workload(), f_max)] * 3
-        )
-        for run in result.runs:
-            assert platform.uncore.f_min_ghz <= run.f_uncore_ghz <= f_max
 
     def test_reactive_never_leaves_grid_bounds(self, platform):
         result = run_governed_sequence(
@@ -122,21 +97,6 @@ class TestSingleIntervalKernels:
             config.start_fraction * platform.uncore.f_max_ghz
         )
         assert result.runs[0].f_uncore_ghz == pytest.approx(start)
-
-    def test_adaptive_single_interval_is_seed_plus_closed_form(
-        self, platform
-    ):
-        """Sub-interval kernels cost exactly the seed switch plus the
-        noise-free closed-form run -- no probes fit."""
-        config = AdaptiveConfig()
-        wl = tiny_workload()
-        result = run_adaptive_sequence(platform, [(wl, 2.0)], config)
-        closed = execute_fixed(platform, wl, 2.0, noisy=False)
-        assert result.cap_switches == 1
-        assert result.time_s == pytest.approx(
-            closed.time_s + platform.cap_overhead_s, rel=1e-9
-        )
-        assert result.runs[0].f_uncore_ghz == pytest.approx(2.0)
 
 
 class TestTruncationWarnings:

@@ -13,7 +13,7 @@ from repro.hw import (
     run_capped_sequence,
     run_governed_sequence,
 )
-from repro.hw.execution import compute_time_s, memory_time_s
+from repro.hw.execution import compute_time_s, memory_time_s, uncore_time_s
 
 
 def cb_workload(name="cb"):
@@ -113,6 +113,57 @@ class TestExecuteFixed:
         assert bb_workload().operational_intensity() < 1
         no_traffic = KernelWorkload("x", 10, (0,), 0, 0, 0)
         assert no_traffic.operational_intensity() == float("inf")
+
+
+#: ``(memory_time_s, uncore_time_s)`` per (platform, workload, uncore GHz,
+#: prefetch) at f_min, a middle cap and f_max.  Frozen values: a change to
+#: how the two functions compute their shared LLC and DRAM terms must keep
+#: every float, so the test compares with ``==``.
+PINNED_TIMES = {
+    ("rpl", "cb", 0.8, True): (3.656627185561196e-06, 2.589960518894529e-06),
+    ("rpl", "cb", 0.8, False): (5.550724407783418e-06, 4.484057741116751e-06),
+    ("rpl", "cb", 2.7, True): (2.6650856389986822e-06, 1.5984189723320158e-06),
+    ("rpl", "cb", 2.7, False): (3.2491344605475043e-06, 2.1824677938808374e-06),
+    ("rpl", "cb", 4.6, True): (2.363512677798392e-06, 1.2968460111317254e-06),
+    ("rpl", "cb", 4.6, False): (2.7765561560592614e-06, 1.709889489392595e-06),
+    ("rpl", "bb", 0.8, True): (0.00165053581500282, 0.0015172024816694867),
+    ("rpl", "bb", 0.8, False): (0.0028343465788917086, 0.0027010132455583752),
+    ("rpl", "bb", 2.7, True): (0.0010779973649538868, 0.0009446640316205533),
+    ("rpl", "bb", 2.7, False): (0.0014430278784219003, 0.0013096945450885669),
+    ("rpl", "bb", 4.6, True): (0.000906756338899196, 0.0007734230055658627),
+    ("rpl", "bb", 4.6, False): (0.0011649085128122394, 0.001031575179478906),
+    ("bdw", "cb", 1.2, True): (6.878285138019184e-06, 4.744951804685851e-06),
+    ("bdw", "cb", 1.2, False): (7.9760587431694e-06, 5.842725409836066e-06),
+    ("bdw", "cb", 2.0, True): (5.697460623593699e-06, 3.564127290260366e-06),
+    ("bdw", "cb", 2.0, False): (6.355759803921569e-06, 4.222426470588236e-06),
+    ("bdw", "cb", 2.8, True): (5.328816749000235e-06, 3.195483415666902e-06),
+    ("bdw", "cb", 2.8, False): (5.612814001747488e-06, 3.4794806684141547e-06),
+    ("bdw", "bb", 1.2, True): (0.0030683271183658154, 0.0028016604516991487),
+    ("bdw", "bb", 1.2, False): (0.0037544356215846995, 0.0034877689549180327),
+    ("bdw", "bb", 2.0, True): (0.0023765991642558664, 0.0021099324975891996),
+    ("bdw", "bb", 2.0, False): (0.0027880361519607845, 0.0025213694852941177),
+    ("bdw", "bb", 2.8, True): (0.0021721006821924255, 0.0019054340155257588),
+    ("bdw", "bb", 2.8, False): (0.002349598965159458, 0.0020829322984927917),
+}
+
+
+class TestPinnedMemoryTimes:
+    @pytest.mark.parametrize(
+        "key",
+        list(PINNED_TIMES),
+        ids=lambda key: "{}-{}-{}-{}".format(
+            key[0], key[1], key[2], "prefetch" if key[3] else "no-prefetch"
+        ),
+    )
+    def test_bit_identical(self, key):
+        name, kind, f_ghz, prefetch = key
+        platform = {"rpl": raptorlake_sim, "bdw": broadwell_sim}[name]()
+        workload = {"cb": cb_workload, "bb": bb_workload}[kind]()
+        got = (
+            memory_time_s(platform, workload, f_ghz, prefetch),
+            uncore_time_s(platform, workload, f_ghz, prefetch),
+        )
+        assert got == PINNED_TIMES[key]
 
 
 class TestGovernor:

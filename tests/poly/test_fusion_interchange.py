@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.benchsuite import get_benchmark
+from repro.hw import raptorlake_sim
 from repro.ir import (
     F32,
     IRError,
@@ -20,9 +21,11 @@ from repro.ir.dialects.affine import (
     verify_affine,
 )
 from repro.isllite import LinExpr
+from repro.pipeline import polyufc_compile
 from repro.poly.fusion import fuse_pointwise_nests
 from repro.poly.interchange import interchange, permutation_is_legal
 from repro.poly.dependences import Dependence
+from tests.mlpolyufc.test_mlpolyufc import sdpa_structure, small_sdpa
 
 
 def elementwise_chain(n=12, stages=3):
@@ -126,7 +129,12 @@ class TestFusion:
 
     def test_sdpa_bb_run_fuses(self):
         """The sdpa scale/sub/exp/div pointwise stages fuse, raising OI."""
-        module = get_benchmark("sdpa_bert").module()
+        platform = raptorlake_sim()
+        bert = get_benchmark("sdpa_bert").module()
+        module = small_sdpa()
+        assert sdpa_structure(polyufc_compile(module, platform)) == (
+            sdpa_structure(polyufc_compile(bert, platform))
+        )
         affine = lower_linalg_to_affine(lower_torch_to_linalg(module))
         before = len(outer_loops(affine))
         fused, count = fuse_pointwise_nests(affine)
