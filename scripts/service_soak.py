@@ -4,18 +4,17 @@ Drives a live ``ServiceClient`` with a randomized mixed batch (repeats,
 objective variants, both platforms' cheap kernels) for a bounded wall
 time, optionally with faults armed via ``REPRO_FAULTS`` (the CI service
 job arms ``report.write:io:2``; the multi-core job additionally soaks
-the process pool under a live admission bound).  The full lifecycle
-event stream is written to a JSONL file (uploaded as a CI artifact on
+the process pool under a live shed bound).  The full lifecycle event
+stream is written to a JSONL file (uploaded as a CI artifact on
 failure), and the run fails if any invariant breaks:
 
-* every admitted job reaches a terminal state before the deadline;
+* every submitted job reaches a terminal state before the deadline;
 * every computed report is exact or visibly degraded (never silently
   wrong);
 * the store contains only fully-exact reports;
-* the event stream is consistent: each executed job has exactly one of
-  started / cache_hit / coalesced and exactly one terminal event,
-  admission-rejected jobs show exactly ``submitted`` + ``shed``,
-  quota-rejected requests show only ``quota_exceeded``, and globally
+* the event stream is consistent: each job has exactly one
+  ``submitted``, exactly one of started / cache_hit / coalesced and
+  exactly one terminal event, and globally
   ``submitted == completed + failed + shed``;
 * every completed job names what served it: ``served_by`` is one of
   ``cache``, ``local`` or ``family``.
@@ -40,12 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.service import (
-    AdmissionError,
-    JobSpec,
-    QuotaExceeded,
-    ServiceClient,
-)
+from repro.service import JobSpec, ServiceClient
 from repro.service.client import resolve_store
 from repro.service.events import JsonlSink, ListSink, TeeSink
 
@@ -70,20 +64,18 @@ def build_specs(requests, seed):
     return specs
 
 
-def check_events(events, admitted, rejected):
+def check_events(events, expected_jobs):
     """Event-stream consistency; returns a list of violations."""
     per_job = defaultdict(list)
     for event in events:
         per_job[event.job_id].append(event.kind)
     problems = []
-    if len(per_job) != admitted + rejected:
+    if len(per_job) != expected_jobs:
         problems.append(
             f"{len(per_job)} jobs in the event stream, expected "
-            f"{admitted} admitted + {rejected} rejected"
+            f"{expected_jobs}"
         )
     for job_id, kinds in sorted(per_job.items()):
-        if kinds == ["quota_exceeded"]:
-            continue  # quota refusals never enter the system
         if kinds.count("submitted") != 1:
             problems.append(f"{job_id}: {kinds.count('submitted')} submits")
         sources = sum(
@@ -93,15 +85,6 @@ def check_events(events, admitted, rejected):
         terminal = sum(
             kinds.count(kind) for kind in ("completed", "failed", "shed")
         )
-        if sources == 0:
-            # Admission rejection: submitted then shed("rejected ..."),
-            # nothing else.
-            if sorted(kinds) != ["shed", "submitted"]:
-                problems.append(
-                    f"{job_id}: no source event but not a clean "
-                    f"rejection, got {kinds}"
-                )
-            continue
         if sources != 1:
             problems.append(
                 f"{job_id}: expected exactly one source event, got {kinds}"
@@ -146,15 +129,13 @@ def main(argv=None):
     )
     parser.add_argument(
         "--executor", choices=("thread", "process"), default=None,
-        help="execution backend (default: REPRO_SERVICE_EXECUTOR, "
-        "else thread)",
+        help="execution backend (default: thread)",
     )
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
         "--max-pending", type=int, default=None,
-        help="soft queue bound; beyond it new jobs shed",
+        help="queue bound; beyond it new jobs shed",
     )
-    parser.add_argument("--client-quota", type=int, default=None)
     args = parser.parse_args(argv)
 
     specs = build_specs(args.requests, args.seed)
@@ -169,21 +150,14 @@ def main(argv=None):
 
     deadline = time.monotonic() + args.timeout_s
     failures = []
-    rejected = 0
     started = time.perf_counter()
     try:
         with ServiceClient(
             store=store_dir, sink=sink,
             executor=args.executor, workers=args.workers,
             max_pending=args.max_pending,
-            client_quota=args.client_quota,
         ) as client:
-            jobs = []
-            for spec in specs:
-                try:
-                    jobs.append(client.submit(spec))
-                except (AdmissionError, QuotaExceeded):
-                    rejected += 1
+            jobs = [client.submit(spec) for spec in specs]
             for job in jobs:
                 remaining = max(0.0, deadline - time.monotonic())
                 try:
@@ -210,9 +184,7 @@ def main(argv=None):
                         f"store serves degraded report {row['digest']}"
                     )
 
-            failures.extend(
-                check_events(memory.events(), len(jobs), rejected)
-            )
+            failures.extend(check_events(memory.events(), len(jobs)))
             failures.extend(check_attribution(
                 [client.status(job.job_id) for job in jobs]
             ))
@@ -221,8 +193,8 @@ def main(argv=None):
             tmp.cleanup()
 
     print(
-        f"soak: {args.requests} requests ({rejected} rejected at "
-        f"admission) in {elapsed:.1f}s (deadline {args.timeout_s:.0f}s), "
+        f"soak: {args.requests} requests in {elapsed:.1f}s "
+        f"(deadline {args.timeout_s:.0f}s), "
         f"executor={client.scheduler.executor}, events={counts}"
     )
     if failures:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -65,13 +64,11 @@ log = logging.getLogger("repro.runtime")
 #: All engines produce identical :class:`LevelModelStats` where exact.
 CM_ENGINES = ("fast", "reference", "symbolic", "parametric")
 
-_ENGINE_ENV = "REPRO_CM_ENGINE"
-
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine name: explicit arg > $REPRO_CM_ENGINE > fast."""
+    """Resolve an engine name: explicit arg, else ``fast``."""
     if engine is None:
-        engine = os.environ.get(_ENGINE_ENV) or "fast"
+        engine = "fast"
     if engine not in CM_ENGINES:
         raise ValueError(
             f"unknown CM engine {engine!r}; expected one of {CM_ENGINES}"
@@ -295,7 +292,7 @@ def polyufc_cm(
     ``threads``/``parallel`` enable the paper's OpenMP sharing heuristic:
     miss counts of loop-parallel kernels are divided by the thread count.
     ``engine`` selects the level evaluator (:data:`CM_ENGINES`); the
-    default honours ``$REPRO_CM_ENGINE`` and falls back to ``fast``.
+    default is ``fast``.
     ``deadline`` is checkpointed at every level boundary and inside both
     engines' chunk loops, so an armed ``cm_timeout_s`` interrupts the
     evaluation mid-unit instead of after the fact.

@@ -36,7 +36,7 @@ def _add_platform(parser: argparse.ArgumentParser) -> None:
 def _add_cm_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cm-engine", default=None, choices=list(CM_ENGINES),
-        help="PolyUFC-CM evaluator (default: $REPRO_CM_ENGINE or fast)",
+        help="PolyUFC-CM evaluator (default: fast)",
     )
     parser.add_argument(
         "--cm-timeout", type=float, default=None, metavar="SECONDS",
@@ -161,17 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor", default=None, choices=["thread", "process"],
-        help="execution backend (default: $REPRO_SERVICE_EXECUTOR, "
-        "else thread)",
+        help="execution backend (default: thread)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
         help="queue depth beyond which new jobs are shed to the "
         "timeout-cap rung (default: unbounded)",
-    )
-    serve.add_argument(
-        "--client-quota", type=int, default=None, metavar="N",
-        help="max in-flight jobs per client (default: unlimited)",
     )
     serve.add_argument(
         "--once", action="store_true",
@@ -514,7 +509,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         executor=args.executor,
         max_pending=args.max_pending,
-        client_quota=args.client_quota,
     )
 
 

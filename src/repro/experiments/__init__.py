@@ -10,19 +10,13 @@ disable it.
 """
 
 from repro.experiments.runner import (
-    KernelReport,
-    UnitReport,
     baseline_comparison,
     frequency_sweep,
     kernel_report,
-    cache_dir,
 )
 
 __all__ = [
-    "KernelReport",
-    "UnitReport",
     "baseline_comparison",
     "frequency_sweep",
     "kernel_report",
-    "cache_dir",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.hw.execution import execute_fixed
@@ -33,22 +32,10 @@ from repro.hw.governor import (
     run_governed_sequence,
 )
 from repro.hw.platform import get_platform
-from repro.mlpolyufc.reports import (  # re-exported for compatibility
-    REPORT_SCHEMA_VERSION,
-    KernelReport,
-    UnitReport,
-)
+from repro.mlpolyufc.reports import KernelReport
 from repro.runtime import resolve_timeout
 
 log = logging.getLogger("repro.runtime")
-
-
-def cache_dir() -> Path:
-    """The persistent-cache root (the service store lives under it)."""
-    root = os.environ.get("REPRO_CACHE_DIR")
-    path = Path(root) if root else Path(__file__).resolve().parents[3] / ".polyufc_cache"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _cache_enabled() -> bool:
@@ -64,7 +51,6 @@ def kernel_report(
     tile_size: int = 32,
     epsilon: float = 1e-3,
     cap_overhead_factor: float = 50.0,
-    use_cache: bool = True,
     cm_engine: Optional[str] = None,
     cm_timeout_s: Optional[float] = None,
 ) -> KernelReport:
@@ -89,14 +75,12 @@ def kernel_report(
         engine=cm_engine,
     )
     store = ResultStore() if _cache_enabled() else None
-    if store is not None and use_cache:
+    if store is not None:
         cached = store.get_report(spec.digest())
         if cached is not None:
             return cached
     report = execute_report(
-        spec,
-        store=store if use_cache else None,
-        cm_timeout_s=resolve_timeout(cm_timeout_s),
+        spec, store=store, cm_timeout_s=resolve_timeout(cm_timeout_s),
     )
     if store is not None:
         store.put_report(spec, report)  # refuses degraded reports

@@ -157,8 +157,7 @@ def polyufc_compile(
     :func:`repro.mlpolyufc.characterization.characterize_units`).
 
     ``cm_engine`` selects the PolyUFC-CM evaluator, one of
-    :data:`repro.cache.static_model.CM_ENGINES` (default:
-    ``$REPRO_CM_ENGINE``, else ``fast``).
+    :data:`repro.cache.static_model.CM_ENGINES` (default ``fast``).
     """
     constants = constants if constants is not None else get_constants(platform)
     timings = StageTimings()

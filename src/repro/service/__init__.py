@@ -14,15 +14,13 @@ entrypoint shares (see ``docs/SERVICE.md``):
   to a :class:`~repro.mlpolyufc.reports.KernelReport`.
 * :mod:`repro.service.pool` -- the pluggable execution backends: the
   inline ``thread`` path (the default) and the ``process`` pool
-  (spec/report JSON is the wire format); ``REPRO_SERVICE_EXECUTOR``
+  (spec/report JSON is the wire format); the ``executor`` argument
   selects.
 * :mod:`repro.service.scheduler` -- async batch :class:`Scheduler` with
-  in-flight dedup, admission control (a bounded queue, load shedding,
-  per-client quotas), per-job deadlines and the structured lifecycle
-  event stream.
+  in-flight dedup, load shedding past one queue bound, per-job
+  deadlines and the structured lifecycle event stream.
 * :mod:`repro.service.client` -- the in-process :class:`ServiceClient`
-  facade used by ``repro.experiments`` and the benchmarks, including
-  the streaming batch API (:meth:`ServiceClient.stream_batch`).
+  facade used by ``repro.experiments`` and the benchmarks.
 * :mod:`repro.service.http` -- the stdlib-only HTTP/JSON front behind
   ``repro.cli serve``.
 """
@@ -34,18 +32,12 @@ from repro.service.events import (
     JobEvent,
     JsonlSink,
     ListSink,
-    NullSink,
     TeeSink,
 )
 from repro.service.executor import execute_report
 from repro.service.http import make_server, request_json, serve
 from repro.service.pool import EXECUTOR_KINDS, resolve_executor
-from repro.service.scheduler import (
-    AdmissionError,
-    Job,
-    QuotaExceeded,
-    Scheduler,
-)
+from repro.service.scheduler import Job, Scheduler
 from repro.service.spec import (
     OBJECTIVES,
     PLATFORM_NAMES,
@@ -63,7 +55,6 @@ __all__ = [
     "JobEvent",
     "JsonlSink",
     "ListSink",
-    "NullSink",
     "TeeSink",
     "execute_report",
     "make_server",
@@ -71,9 +62,7 @@ __all__ = [
     "serve",
     "EXECUTOR_KINDS",
     "resolve_executor",
-    "AdmissionError",
     "Job",
-    "QuotaExceeded",
     "Scheduler",
     "OBJECTIVES",
     "PLATFORM_NAMES",

@@ -3,17 +3,14 @@
 :class:`ServiceClient` is what the experiment runner, the benchmarks and
 the CLI's local mode use; the HTTP front (``repro.service.http``) wraps
 the same object, so in-process and over-the-wire callers see identical
-semantics.  Every submission carries a client identity (defaulting to
-one per :class:`ServiceClient` instance), which is what the scheduler's
-per-client quota meters; the HTTP front substitutes the remote caller's
-identity so each HTTP client gets its own quota slot.
+semantics.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.mlpolyufc.reports import KernelReport
 from repro.service.events import EventSink, ListSink
@@ -49,8 +46,6 @@ def resolve_store(
 class ServiceClient:
     """One characterization service endpoint, in process."""
 
-    _instances = 0
-
     def __init__(
         self,
         store: Union[None, bool, str, Path, ResultStore] = None,
@@ -59,16 +54,9 @@ class ServiceClient:
         cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
         max_pending: Optional[int] = None,
-        reject_pending: Optional[int] = None,
-        client_quota: Optional[int] = None,
-        client_id: Optional[str] = None,
     ):
         self.store = resolve_store(store)
         self.sink = sink if sink is not None else ListSink()
-        if client_id is None:
-            ServiceClient._instances += 1
-            client_id = f"local-{os.getpid()}-{ServiceClient._instances}"
-        self.client_id = client_id
         self.scheduler = Scheduler(
             store=self.store,
             workers=workers,
@@ -76,33 +64,20 @@ class ServiceClient:
             cm_timeout_s=cm_timeout_s,
             executor=executor,
             max_pending=max_pending,
-            reject_pending=reject_pending,
-            client_quota=client_quota,
         )
 
     # -- job API -------------------------------------------------------
 
-    def submit(
-        self,
-        spec: Union[JobSpec, dict],
-        client_id: Optional[str] = None,
-        **kwargs,
-    ) -> Job:
+    def submit(self, spec: Union[JobSpec, dict], **kwargs) -> Job:
         """Submit one job; ``kwargs`` override/extend a dict spec."""
         if isinstance(spec, dict):
             spec = JobSpec.from_json({**spec, **kwargs})
-        return self.scheduler.submit(
-            spec, client_id=client_id or self.client_id
-        )
+        return self.scheduler.submit(spec)
 
     def submit_batch(
-        self,
-        specs: Sequence[Union[JobSpec, dict]],
-        client_id: Optional[str] = None,
+        self, specs: Sequence[Union[JobSpec, dict]]
     ) -> List[Job]:
-        return self.scheduler.submit_batch(
-            specs, client_id=client_id or self.client_id
-        )
+        return self.scheduler.submit_batch(specs)
 
     def status(self, job_id: str) -> Optional[dict]:
         return self.scheduler.status(job_id)
@@ -116,22 +91,6 @@ class ServiceClient:
         self, jobs: Sequence[Job], timeout: Optional[float] = None
     ) -> List[KernelReport]:
         return self.scheduler.wait_all(jobs, timeout)
-
-    def stream(
-        self, jobs: Sequence[Job], timeout: Optional[float] = None
-    ) -> Iterator[Tuple[Job, Optional[KernelReport], Optional[str]]]:
-        """Yield ``(job, report, error)`` as jobs finish (any order).
-
-        The streaming counterpart of :meth:`wait_all`: results arrive as
-        they complete instead of behind a batch barrier, and a failed
-        job yields its error string instead of raising, so one bad spec
-        never truncates the stream.
-        """
-        for job in self.scheduler.iter_completed(jobs, timeout):
-            try:
-                yield job, job.result(0), None
-            except Exception as exc:  # surfaced per job, not per stream
-                yield job, None, f"{type(exc).__name__}: {exc}"
 
     # -- synchronous conveniences --------------------------------------
 
@@ -155,14 +114,6 @@ class ServiceClient:
     ) -> List[KernelReport]:
         return self.wait_all(self.submit_batch(specs), timeout)
 
-    def stream_batch(
-        self,
-        specs: Sequence[Union[JobSpec, dict]],
-        timeout: Optional[float] = None,
-    ) -> Iterator[Tuple[Job, Optional[KernelReport], Optional[str]]]:
-        """Submit a batch and stream ``(job, report, error)`` triples."""
-        return self.stream(self.submit_batch(specs), timeout)
-
     # -- store passthrough ---------------------------------------------
 
     def query(self, **filters) -> List[dict]:
@@ -172,7 +123,7 @@ class ServiceClient:
 
     def health(self) -> dict:
         """The enriched ``/v1/healthz`` payload: store stats, scheduler
-        queue depth and admission bounds, and the model versions."""
+        queue depth and shed bound, and the model versions."""
         from repro.service.spec import model_versions
 
         return {

@@ -3,10 +3,10 @@
 Every job the scheduler touches emits a small, flat event stream:
 
 ``submitted``
-    the job entered the system (every admitted submission gets one);
+    the job entered the system (every well-formed submission gets one);
 ``queued``
-    the job was admitted at full fidelity (``detail`` records
-    ``depth=<n>``);
+    the job will run at full fidelity, below the scheduler's
+    ``max_pending`` bound (``detail`` records ``depth=<n>``);
 ``coalesced``
     the submission was deduplicated onto an identical in-flight job
     (``detail`` names the primary job id);
@@ -21,19 +21,12 @@ Every job the scheduler touches emits a small, flat event stream:
     ``unit=rung`` pairs);
 ``completed`` / ``failed`` / ``shed``
     terminal states, with wall-clock ``duration_ms``.  ``shed`` is the
-    terminal of a job the admission controller refused to run at full
-    fidelity: either it executed on the cheap ``timeout-cap`` rung
-    (``detail`` starts with ``timeout-cap``; its future still carries
-    the degraded, never-persisted report) or it was rejected outright
-    at the hard queue bound (``detail`` starts with ``rejected``; the
-    submitter got :class:`~repro.service.scheduler.AdmissionError`).
-    Every admitted job ends in exactly one of the three, so
-    ``submitted == completed + failed + shed`` over any quiesced
-    stream;
-``quota_exceeded``
-    a per-client quota rejected the submission before it entered the
-    system (no ``submitted`` is emitted; the submitter got
-    :class:`~repro.service.scheduler.QuotaExceeded`);
+    terminal of a job submitted past the scheduler's ``max_pending``
+    bound: it executed on the cheap ``timeout-cap`` rung (``detail`` is
+    ``timeout-cap``) and its future carries the degraded,
+    never-persisted report.  Every submitted job ends in exactly one of
+    the three, so ``submitted == completed + failed + shed`` over any
+    quiesced stream;
 ``family_served``
     a parametric job's CM counters were instantiated from a cached
     kernel-family artifact instead of computed (``detail`` records
@@ -75,7 +68,6 @@ EVENT_KINDS = (
     "completed",
     "failed",
     "shed",
-    "quota_exceeded",
     "family_served",
     "family_sample",
     "family_fit",
@@ -130,13 +122,6 @@ class EventSink:
         raise NotImplementedError
 
     def close(self) -> None:
-        pass
-
-
-class NullSink(EventSink):
-    """Drops everything."""
-
-    def emit(self, event: JobEvent) -> None:
         pass
 
 

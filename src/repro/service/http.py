@@ -8,13 +8,10 @@ uses, so batching, dedup and the event stream behave identically.
 Routes (all JSON)::
 
     GET  /v1/healthz                 liveness + store stats +
-                                     scheduler queue depth/admission
-                                     bounds + model versions
+                                     scheduler queue depth/shed bound
+                                     + model versions
     POST /v1/jobs                    {"spec": {...}} or {"specs": [...]}
                                      (+ "wait": true, "timeout_s": t)
-    POST /v1/jobs/stream             {"specs": [...], "timeout_s": t} ->
-                                     chunked NDJSON, one line per job as
-                                     it completes (no batch barrier)
     GET  /v1/jobs                    all job statuses
     GET  /v1/jobs/<id>               one job status
     GET  /v1/jobs/<id>/result        block (up to ?timeout_s=) for report;
@@ -22,16 +19,13 @@ Routes (all JSON)::
     GET  /v1/query?benchmark=&platform=&boundedness=&cap_below=...
     GET  /v1/events?kind=&limit=     the last ``limit`` lifecycle events
 
-Malformed requests get ``400`` with ``{"error": ...}``; unknown jobs and
+Malformed requests get ``400`` with ``{"error": ...}`` (specs of a
+batch submitted before the malformed one keep running); unknown jobs and
 routes get ``404``; a job whose pipeline failed gets ``500`` on its
-result route.  Admission control surfaces as ``429`` (the caller
-is at its per-client quota -- callers are identified by the
-``X-Repro-Client`` header, falling back to the peer address) and ``503``
-(the scheduler is at its hard queue bound); both carry the jobs that
-were admitted before the refusal, plus a ``Retry-After`` header and a
-``retry_after_s`` body field estimating the queue-drain time.  This
-front is a trusted-network tool (benchmarking, fleet amortization); it
-binds loopback by default and has no auth.
+result route.  Overload never refuses a request: past the scheduler's
+``max_pending`` bound jobs are shed (see ``repro.service.scheduler``).
+This front is a trusted-network tool (benchmarking, fleet
+amortization); it binds loopback by default and has no auth.
 """
 
 from __future__ import annotations
@@ -47,12 +41,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.service.client import ServiceClient
-from repro.service.scheduler import AdmissionError, QuotaExceeded
 
 log = logging.getLogger("repro.runtime")
-
-#: Header naming the submitting client for per-client quotas.
-CLIENT_HEADER = "X-Repro-Client"
 
 DEFAULT_PORT = 8177
 #: Cap on how long a single HTTP request may block on a result.
@@ -87,15 +77,11 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("service.http %s -- %s", self.address_string(),
                   fmt % args)
 
-    def _send(
-        self, code: int, payload: dict, headers: Optional[dict] = None
-    ) -> None:
+    def _send(self, code: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -114,46 +100,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
 
-    def _client_id(self) -> str:
-        return (
-            self.headers.get(CLIENT_HEADER)
-            or f"http:{self.client_address[0]}"
-        )
-
-    def _submit_specs(self, raw_specs):
-        """Submit one by one: admission refusals keep the admitted jobs.
-
-        Returns ``(jobs, refusal)`` where ``refusal`` is ``None`` or an
-        ``(http_code, message, retry_after_s)`` triple from the
-        admission controller (``retry_after_s`` is ``None`` for plain
-        malformed-spec 400s).
-        """
-        client_id = self._client_id()
-        jobs = []
-        for raw in raw_specs:
-            try:
-                jobs.append(
-                    self.server.client.submit(raw, client_id=client_id)
-                )
-            except QuotaExceeded as exc:
-                return jobs, (
-                    429, str(exc), getattr(exc, "retry_after_s", None)
-                )
-            except AdmissionError as exc:
-                return jobs, (
-                    503, str(exc), getattr(exc, "retry_after_s", None)
-                )
-            except (ValueError, TypeError) as exc:  # malformed spec
-                return jobs, (400, str(exc), None)
-        return jobs, None
-
-    @staticmethod
-    def _retry_headers(retry_after_s) -> Optional[dict]:
-        if retry_after_s is None:
-            return None
-        # Retry-After is integer seconds; round up so "0.5" != "now".
-        return {"Retry-After": str(max(1, int(retry_after_s + 0.999)))}
-
     @staticmethod
     def _parse_specs(body: dict):
         if "specs" in body:
@@ -168,8 +114,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 (stdlib casing)
         parsed = urllib.parse.urlsplit(self.path)
-        if parsed.path == "/v1/jobs/stream":
-            return self._post_stream()
         if parsed.path != "/v1/jobs":
             return self._error(404, f"no such route {parsed.path}")
         try:
@@ -181,9 +125,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             return self._error(400, str(exc))
-        jobs, refusal = self._submit_specs(raw_specs)
-        if refusal is not None and refusal[0] == 400:
-            return self._error(400, refusal[1])
+        jobs = []
+        for raw in raw_specs:
+            try:
+                jobs.append(self.server.client.submit(raw))
+            except (ValueError, TypeError) as exc:  # malformed spec
+                # The jobs submitted before it keep running.
+                return self._error(400, str(exc))
         rows = []
         for job in jobs:
             row = self.server.client.status(job.job_id)
@@ -196,63 +144,7 @@ class _Handler(BaseHTTPRequestHandler):
                     row = self.server.client.status(job.job_id)
                     row["error"] = row.get("error") or str(exc)
             rows.append(row)
-        if refusal is not None:
-            code, message, retry_after_s = refusal
-            payload = {"error": message, "jobs": rows}
-            if retry_after_s is not None:
-                payload["retry_after_s"] = retry_after_s
-            return self._send(
-                code, payload, headers=self._retry_headers(retry_after_s)
-            )
         self._send(200, {"jobs": rows})
-
-    def _post_stream(self) -> None:
-        """Chunked NDJSON: one line per job, written as it completes."""
-        try:
-            body = self._read_body()
-            raw_specs = self._parse_specs(body)
-            timeout_s = min(
-                float(body.get("timeout_s", MAX_WAIT_S)), MAX_WAIT_S
-            )
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            return self._error(400, str(exc))
-        jobs, refusal = self._submit_specs(raw_specs)
-        if refusal is not None:
-            # Refused before any bytes went out: plain status response
-            # (already-admitted jobs keep running; the store keeps
-            # their results).
-            code, message, retry_after_s = refusal
-            payload = {"error": message}
-            if retry_after_s is not None:
-                payload["retry_after_s"] = retry_after_s
-            return self._send(
-                code, payload, headers=self._retry_headers(retry_after_s)
-            )
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
-        def chunk(payload: dict) -> None:
-            line = json.dumps(payload).encode() + b"\n"
-            self.wfile.write(f"{len(line):X}\r\n".encode())
-            self.wfile.write(line + b"\r\n")
-            self.wfile.flush()
-
-        try:
-            stream = self.server.client.stream(jobs, timeout=timeout_s)
-            for job, report, error in stream:
-                row = self.server.client.status(job.job_id)
-                if report is not None:
-                    row["report"] = report.to_json()
-                if error is not None:
-                    row["error"] = row.get("error") or error
-                chunk(row)
-        except TimeoutError as exc:
-            chunk({"error": str(exc), "timeout": True})
-        except BrokenPipeError:  # client went away mid-stream
-            return
-        self.wfile.write(b"0\r\n\r\n")
 
     def do_GET(self):  # noqa: N802 (stdlib casing)
         parsed = urllib.parse.urlsplit(self.path)

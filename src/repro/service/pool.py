@@ -19,10 +19,9 @@ scheduler a pluggable execution core:
     same payload and is re-emitted by the parent's event sinks -- worker
     processes never touch a sink.
 
-Backend selection: explicit argument > ``REPRO_SERVICE_EXECUTOR`` env >
-``thread``.  The default never depends on the host: at the default
-width of one worker a process pool runs the same serial work and only
-adds fork + JSON marshalling.
+Backend selection: the explicit argument, else ``thread``.  The default
+never depends on the host: at the default width of one worker a process
+pool runs the same serial work and only adds fork + JSON marshalling.
 
 Worker death is a first-class failure: a worker that disappears
 mid-job (OOM kill, segfault, the armed ``service.worker:die`` fault)
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -48,14 +46,13 @@ from repro.service.spec import JobSpec
 
 log = logging.getLogger("repro.runtime")
 
-EXECUTOR_ENV = "REPRO_SERVICE_EXECUTOR"
 EXECUTOR_KINDS = ("thread", "process")
 
 
 def resolve_executor(kind: Optional[str] = None) -> str:
-    """Backend choice: explicit arg > env > ``thread``."""
+    """Backend choice: explicit arg, else ``thread``."""
     if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV) or "thread"
+        kind = "thread"
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
             f"unknown service executor {kind!r}; "

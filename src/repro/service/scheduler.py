@@ -1,4 +1,4 @@
-"""Async job scheduler: dedup, admission control, events.
+"""Async job scheduler: dedup, load shedding, events.
 
 The scheduler accepts single and batch submissions and content-addresses
 each by its :meth:`JobSpec.digest`.  At most one pipeline execution per
@@ -11,21 +11,16 @@ pipeline time at all.
 Execution runs on a pluggable backend (``repro.service.pool``): the
 ``thread`` backend (the default) runs jobs inline on the dispatcher
 threads, the ``process`` backend ships them to a process pool as
-serialized spec / report JSON.  ``REPRO_SERVICE_EXECUTOR`` selects.
+serialized spec / report JSON.  The ``executor`` argument selects.
 
-Admission control bounds the queue of primary jobs:
-
-* ``max_pending``: beyond it, new primary jobs are **shed** -- they
-  still run, but pinned to the cheap ``timeout-cap`` degradation rung
-  (deadline 0), so overload degrades fidelity instead of queueing
-  unboundedly.  Their futures carry the degraded (never-persisted)
-  report and their terminal event is ``shed``.
-* ``reject_pending`` (default ``4 * max_pending``): the hard bound.
-  Beyond it even shed work is refused -- the submission gets a ``shed``
-  event with ``rejected`` detail and :class:`AdmissionError`.
-* ``client_quota``: per-client in-flight cap.  A client at its quota
-  gets ``quota_exceeded`` + :class:`QuotaExceeded`; the request never
-  enters the system (no ``submitted`` event).
+One overload rule bounds the queue of primary jobs: at ``max_pending``
+pending primaries, new primary jobs are **shed** -- they still run, but
+pinned to the cheap ``timeout-cap`` degradation rung (deadline 0), so
+overload degrades fidelity instead of queueing unboundedly.  Their
+futures carry the degraded (never-persisted) report and their terminal
+event is ``shed``.  A store hit beats shedding: a shed job whose report
+is already stored is served from it at full fidelity.  No well-formed
+submission is refused.
 
 Per-job deadlines ride the existing cooperative machinery: the spec's
 ``cm_timeout_s`` (or the scheduler default) becomes a
@@ -46,10 +41,9 @@ import itertools
 import logging
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.mlpolyufc.reports import KernelReport
 from repro.runtime import resolve_timeout
@@ -60,17 +54,7 @@ from repro.service.store import ResultStore
 
 log = logging.getLogger("repro.runtime")
 
-JOB_STATES = (
-    "queued", "running", "completed", "failed", "rejected",
-)
-
-
-class AdmissionError(RuntimeError):
-    """The scheduler's hard queue bound refused the submission outright."""
-
-
-class QuotaExceeded(RuntimeError):
-    """The submitting client is at its in-flight quota."""
+JOB_STATES = ("queued", "running", "completed", "failed")
 
 
 @dataclass
@@ -84,7 +68,6 @@ class Job:
     state: str = "queued"
     source: Optional[str] = None  # "computed" | "store" | "coalesced"
     shed: bool = False
-    client_id: Optional[str] = None
     #: Completion attribution: "cache" | "local" | "family" (None until
     #: the job reaches its serving path).
     served_by: Optional[str] = None
@@ -119,8 +102,6 @@ class Scheduler:
         cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
         max_pending: Optional[int] = None,
-        reject_pending: Optional[int] = None,
-        client_quota: Optional[int] = None,
     ):
         self.store = store
         self.sink = sink if sink is not None else ListSink()
@@ -128,13 +109,6 @@ class Scheduler:
         self.width = max(1, workers or 1)
         self.default_timeout_s = cm_timeout_s
         self.max_pending = max_pending
-        if reject_pending is None and max_pending is not None:
-            # The hard bound leaves headroom above the shed threshold
-            # (shed jobs are cheap but still occupy slots); max(.., 1)
-            # keeps max_pending=0 ("shed everything") admitting work.
-            reject_pending = max(4 * max_pending, 1)
-        self.reject_pending = reject_pending
-        self.client_quota = client_quota
         store_root = getattr(store, "root", None)
         self._backend = make_backend(
             executor,
@@ -145,14 +119,13 @@ class Scheduler:
         self._pool = ThreadPoolExecutor(
             max_workers=self.width, thread_name_prefix="repro-service",
         )
-        #: EWMA of completed-job wall time, feeding retry-after hints.
+        #: EWMA of completed-job wall time (``avg_job_s`` on healthz).
         self._avg_duration_s = 1.0
         self._lock = threading.Lock()
         #: digest -> the primary job computing it.
         self._inflight: Dict[str, Job] = {}
-        #: Primary jobs admitted and not yet terminal.
+        #: Primary jobs submitted and not yet terminal.
         self._pending = 0
-        self._client_inflight: Dict[str, int] = {}
         self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count(1)
         self._closed = False
@@ -172,86 +145,38 @@ class Scheduler:
 
     # -- submission ----------------------------------------------------
 
-    def submit(
-        self,
-        spec: Union[JobSpec, dict],
-        client_id: Optional[str] = None,
-    ) -> Job:
-        """Enqueue one job; returns immediately with a tracking handle.
-
-        Raises :class:`QuotaExceeded` when ``client_id`` is at the
-        per-client quota and :class:`AdmissionError` when the scheduler
-        is at its hard queue bound.
-        """
+    def submit(self, spec: Union[JobSpec, dict]) -> Job:
+        """Enqueue one job; returns immediately with a tracking handle."""
         if isinstance(spec, dict):
             spec = JobSpec.from_json(spec)
         else:
             spec.validate()
         digest = spec.digest()
-        client_key = client_id or "anon"
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is shut down")
             job_id = f"j{next(self._counter):08d}"
             job = Job(
                 job_id=job_id, spec=spec, digest=digest,
-                submitted_at=time.time(), client_id=client_id,
+                submitted_at=time.time(),
             )
             self._jobs[job_id] = job
-            if (
-                self.client_quota is not None
-                and self._client_inflight.get(client_key, 0)
-                >= self.client_quota
-            ):
-                job.state = "rejected"
-                job.error = (
-                    f"client {client_key!r} is at its quota "
-                    f"({self.client_quota} in-flight jobs)"
-                )
-                rejection = "quota"
+            primary = self._inflight.get(digest)
+            depth = self._pending
+            if primary is not None:
+                job.primary_id = primary.job_id
+                job.source = "coalesced"
+                job.future = primary.future
+                primary.followers.append(job)
             else:
-                primary = self._inflight.get(digest)
-                depth = self._pending
-                if primary is not None:
-                    job.primary_id = primary.job_id
-                    job.source = "coalesced"
-                    job.future = primary.future
-                    primary.followers.append(job)
-                    rejection = None
-                elif (
-                    self.reject_pending is not None
-                    and depth >= self.reject_pending
-                ):
-                    job.state = "rejected"
-                    job.error = (
-                        f"scheduler is at its hard queue bound "
-                        f"({depth} pending >= {self.reject_pending})"
-                    )
-                    rejection = "queue"
-                else:
-                    job.shed = (
-                        self.max_pending is not None
-                        and depth >= self.max_pending
-                    )
-                    job.future = Future()
-                    self._inflight[digest] = job
-                    self._pending = depth = depth + 1
-                    rejection = None
-                if rejection is None:
-                    self._client_inflight[client_key] = (
-                        self._client_inflight.get(client_key, 0) + 1
-                    )
-        if rejection == "quota":
-            self._emit("quota_exceeded", job, detail=job.error)
-            exc = QuotaExceeded(job.error)
-            exc.retry_after_s = self.retry_after_hint()
-            raise exc
+                job.shed = (
+                    self.max_pending is not None
+                    and depth >= self.max_pending
+                )
+                job.future = Future()
+                self._inflight[digest] = job
+                self._pending = depth = depth + 1
         self._emit("submitted", job, detail=spec.label())
-        if rejection == "queue":
-            self._emit("shed", job, detail=f"rejected depth={depth}")
-            exc = AdmissionError(job.error)
-            exc.retry_after_s = self.retry_after_hint()
-            raise exc
         if job.primary_id is not None:
             self._emit("coalesced", job, detail=job.primary_id)
         else:
@@ -260,18 +185,11 @@ class Scheduler:
             self._pool.submit(self._run, job)
         return job
 
-    def _release(self, job: Job, primary: bool) -> None:
-        """Terminal bookkeeping: quota slot, queue depth, dedup entry."""
-        client_key = job.client_id or "anon"
+    def _release(self, job: Job) -> None:
+        """A primary's terminal bookkeeping: queue depth, dedup entry."""
         with self._lock:
-            count = self._client_inflight.get(client_key, 0)
-            if count <= 1:
-                self._client_inflight.pop(client_key, None)
-            else:
-                self._client_inflight[client_key] = count - 1
-            if primary:
-                self._pending -= 1
-                self._inflight.pop(job.digest, None)
+            self._pending -= 1
+            self._inflight.pop(job.digest, None)
 
     def _finish_followers(
         self, primary: Job, exc: Optional[BaseException]
@@ -296,7 +214,6 @@ class Scheduler:
                     job.error = f"{type(exc).__name__}: {exc}"
                 else:
                     job.state = "completed"
-            self._release(job, primary=False)
             duration_ms = (job.finished_at - job.submitted_at) * 1e3
             if exc is not None:
                 self._emit("failed", job, detail=job.error,
@@ -306,12 +223,10 @@ class Scheduler:
                            duration_ms=duration_ms)
 
     def submit_batch(
-        self,
-        specs: Sequence[Union[JobSpec, dict]],
-        client_id: Optional[str] = None,
+        self, specs: Sequence[Union[JobSpec, dict]]
     ) -> List[Job]:
         """Submit many jobs; duplicates inside the batch coalesce too."""
-        return [self.submit(spec, client_id=client_id) for spec in specs]
+        return [self.submit(spec) for spec in specs]
 
     # -- execution -----------------------------------------------------
 
@@ -333,7 +248,7 @@ class Scheduler:
             job.state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
             job.finished_at = time.time()
-        self._release(job, primary=True)
+        self._release(job)
         self._emit(
             "failed", job, detail=job.error,
             duration_ms=(job.finished_at - job.submitted_at) * 1e3,
@@ -346,7 +261,7 @@ class Scheduler:
         with self._lock:
             job.state = "completed"
             job.finished_at = time.time()
-        self._release(job, primary=True)
+        self._release(job)
         duration_ms = (job.finished_at - job.submitted_at) * 1e3
         self._note_duration(duration_ms / 1e3)
         if job.shed:
@@ -457,29 +372,13 @@ class Scheduler:
 
     # -- introspection -------------------------------------------------
 
-    def retry_after_hint(self) -> float:
-        """Seconds a refused client should wait before retrying.
-
-        Estimated queue-drain time: current queue depth times the
-        completed-job duration EWMA, divided by the pool width; clamped
-        to [0.5s, 60s].  Attached to
-        :class:`QuotaExceeded`/:class:`AdmissionError` and surfaced by
-        the HTTP front as ``Retry-After`` + ``retry_after_s``.
-        """
-        with self._lock:
-            depth = self._pending
-            avg = self._avg_duration_s
-        drain = max(1, depth) * avg / max(1, self.width)
-        return round(min(max(drain, 0.5), 60.0), 2)
-
     def stats(self) -> dict:
         """A JSON-shaped operational snapshot (the ``/v1/healthz``
-        ``scheduler`` section): queue depth, admission bounds and
-        backend capacity."""
+        ``scheduler`` section): queue depth, shed bound and backend
+        capacity."""
         with self._lock:
             depth = self._pending
             jobs = len(self._jobs)
-            clients = len(self._client_inflight)
             avg = self._avg_duration_s
         return {
             "executor": self.executor,
@@ -487,9 +386,6 @@ class Scheduler:
             "width": self.width,
             "queue_depth": depth,
             "max_pending": self.max_pending,
-            "reject_pending": self.reject_pending,
-            "client_quota": self.client_quota,
-            "inflight_clients": clients,
             "jobs": jobs,
             "avg_job_s": round(avg, 3),
         }
@@ -565,40 +461,6 @@ class Scheduler:
             )
             reports.append(job.result(remaining))
         return reports
-
-    def iter_completed(
-        self, jobs: Sequence[Job], timeout: Optional[float] = None
-    ) -> Iterator[Job]:
-        """Yield ``jobs`` as they finish (streaming, not batch-barrier).
-
-        Coalesced jobs are yielded right after their primary, since they
-        share its future.  Each yielded job is done: ``job.result(0)``
-        returns (or raises) immediately.  On ``timeout`` the generator
-        raises ``TimeoutError`` with the unfinished jobs still pending.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        by_future: Dict[Future, List[Job]] = {}
-        for job in jobs:
-            by_future.setdefault(job.future, []).append(job)
-        outstanding = set(by_future)
-        while outstanding:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            done, outstanding = futures_wait(
-                outstanding, timeout=remaining,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                raise TimeoutError(
-                    f"{sum(len(by_future[f]) for f in outstanding)} "
-                    f"jobs unfinished after {timeout}s"
-                )
-            for future in done:
-                yield from by_future[future]
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:

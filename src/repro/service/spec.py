@@ -172,7 +172,7 @@ class JobSpec:
         return self
 
     def resolved_engine(self) -> str:
-        """The engine the job will actually run (arg > env > default)."""
+        """The engine the job will actually run (``fast`` when unset)."""
         return resolve_engine(self.engine)
 
     def resolved(self) -> "JobSpec":

@@ -178,9 +178,6 @@ class TestEngineSwitch:
                 generate_trace(module), self.small_hier(), engine="turbo"
             )
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
-        monkeypatch.delenv("REPRO_CM_ENGINE")
+    def test_argument_selects_engine(self):
         assert resolve_engine() == "fast"
         assert resolve_engine("reference") == "reference"

@@ -1,14 +1,15 @@
 """Parametric family artifacts: instantiation equivalence + domains.
 
 The contract under test: a :class:`ParametricCharacterization` built
-from a few concrete symbolic-engine runs of a kernel family answers any
-size in its validity domain with *bit-for-bit* the counters a fresh
-concrete run would produce -- and answers ``None`` (never a guess)
-everywhere else.  Covered here on a rectangular PolyBench family
-(gemm over ``ni``) and a triangular one (trisolv over ``n``, exercising
-the widened symbolic engine), plus the fallback ladder: a kernel the
-symbolic engine rejects must surface the reason as ``cm_note`` when
-characterized with ``engine="parametric"``.
+from a few concrete engine runs of a kernel family answers any size in
+its validity domain with *bit-for-bit* the counters a fresh concrete
+run would produce -- and answers ``None`` (never a guess) everywhere
+else.  Covered here on a rectangular PolyBench family (gemm over
+``ni``, sampled with the symbolic engine) and a triangular one (trisolv
+over ``n``, sampled with the fast engine, plus one mid-size check that
+the symbolic engine's triangular case agrees with it), plus the
+fallback ladder: a kernel the symbolic engine rejects must surface the
+reason as ``cm_note`` when characterized with ``engine="parametric"``.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.cache import (
     CacheHierarchy,
     CacheLevelConfig,
     clear_memo,
+    generate_trace,
+    polyufc_cm,
     symbolic_cm,
 )
 from repro.cache.parametric_model import (
@@ -75,6 +78,11 @@ def _trisolv_cm(n):
     return symbolic_cm(POLYBENCH_BUILDERS["trisolv"](n=n), None, HIER)
 
 
+def _trisolv_fast_cm(n):
+    module = POLYBENCH_BUILDERS["trisolv"](n=n)
+    return polyufc_cm(generate_trace(module), HIER, engine="fast")
+
+
 def _fill(artifact, compute, keys, param):
     fields = artifact.fields
     for value in keys:
@@ -117,14 +125,18 @@ def test_gemm_chart_matches_concrete_symbolic_bit_for_bit():
 
 
 def test_trisolv_triangular_family_served_from_chart():
-    """Triangular family through the widened symbolic engine."""
+    """Triangular family, sampled with the fast engine (the symbolic
+    engine takes seconds per sample here and gives equal counters)."""
+    assert _trisolv_cm(24).counters() == _trisolv_fast_cm(24).counters()
     artifact = _fill(
-        _artifact(("n",)), _trisolv_cm, (8, 24, 40, 56, 88), "n"
+        _artifact(("n",)), _trisolv_fast_cm, (8, 24, 40, 56, 88), "n"
     )
     assert artifact.try_fit()
     answer = artifact.evaluate({"n": 72})
     assert answer is not None and answer.source == "chart"
-    assert answer.units == (_vector(_trisolv_cm(72), artifact.fields),)
+    assert answer.units == (
+        _vector(_trisolv_fast_cm(72), artifact.fields),
+    )
 
 
 def test_validity_domain_boundaries_return_none():

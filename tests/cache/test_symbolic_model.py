@@ -124,16 +124,9 @@ class TestEngineDispatch:
         for name in CM_ENGINES:
             assert name in str(err.value)
 
-    def test_unknown_env_engine_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_ENGINE", "warp-drive")
-        with pytest.raises(ValueError):
-            resolve_engine()
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_ENGINE", "reference")
+    def test_explicit_engine_else_fast(self):
         assert resolve_engine("symbolic") == "symbolic"
-        assert resolve_engine() == "reference"
-        monkeypatch.delenv("REPRO_CM_ENGINE")
+        assert resolve_engine("parametric") == "parametric"
         assert resolve_engine() == "fast"
 
     def test_polyufc_cm_degrades_symbolic_to_fast(self):

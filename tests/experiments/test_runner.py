@@ -51,12 +51,6 @@ def test_kernel_report_disk_cache_hit_and_miss(cache_dir, compile_counter):
     assert second.boundedness == first.boundedness
 
 
-def test_kernel_report_use_cache_false_recomputes(cache_dir, compile_counter):
-    kernel_report(KERNEL, "rpl")
-    kernel_report(KERNEL, "rpl", use_cache=False)
-    assert len(compile_counter) == 2
-
-
 def test_kernel_report_no_cache_env_disables_persistence(
     tmp_path, monkeypatch, compile_counter
 ):

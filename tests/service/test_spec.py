@@ -73,17 +73,14 @@ def test_digest_folds_in_model_versions(monkeypatch):
     assert base.digest() != before
 
 
-def test_digest_pins_the_resolved_engine(monkeypatch):
+def test_digest_pins_the_resolved_engine():
     spec = JobSpec(benchmark="atax")
-    monkeypatch.delenv("REPRO_CM_ENGINE", raising=False)
-    default = spec.digest()
-    monkeypatch.setenv("REPRO_CM_ENGINE", "reference")
-    # Same spec, different ambient engine -> different numbers possible,
-    # so a different slot; an explicit engine pins it.
-    assert spec.digest() != default
+    # The default engine is fast: it shares the explicit fast slot and
+    # no other engine's.
+    assert spec.digest() == dataclasses.replace(spec, engine="fast").digest()
     assert (
-        dataclasses.replace(spec, engine="reference").digest()
-        == spec.digest()
+        spec.digest()
+        != dataclasses.replace(spec, engine="reference").digest()
     )
 
 
