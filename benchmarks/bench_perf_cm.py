@@ -1,8 +1,9 @@
-"""CM-engine performance benchmark: fast vs reference vs symbolic.
+"""CM-engine performance benchmark: fast and symbolic vs the reference oracle.
 
 Times trace generation and PolyUFC-CM evaluation on representative
 PolyBench kernels, for both the set-associative (SA) and fully-associative
-(FA) RPL hierarchies and all three CM engines.  Every kernel gets an
+(FA) RPL hierarchies: the ``fast`` and ``symbolic`` engines and the
+per-access ``reference_cm`` oracle.  Every kernel gets an
 untiled row and a ``tiled32`` row: the tile-32 module the pipeline
 actually characterizes.  The trace-free ``symbolic`` engine is measured
 against ``trace_s + fast_s`` (the cost it replaces) on the untiled rows
@@ -45,6 +46,7 @@ from repro.cache import (
     line_stream,
     memoized_stream,
     polyufc_cm,
+    reference_cm,
     reference_generate_trace,
     trace_differences,
 )
@@ -125,10 +127,10 @@ def module_rows(label, variant, module, variants, reps, fast_reps, symbolic):
     rows = []
     for hier_label, hier in variants:
         fast_s, fast = time_call(
-            lambda: polyufc_cm(trace, hier, engine="fast"), fast_reps
+            lambda: polyufc_cm(trace, hier), fast_reps
         )
         ref_s, reference = time_call(
-            lambda: polyufc_cm(trace, hier, engine="reference"), reps
+            lambda: reference_cm(trace, hier), reps
         )
         sym_s, sym_match, sym_speedup, sym_note = None, None, None, None
         sym_text = "sym= skipped (tiled)"
@@ -186,7 +188,7 @@ def sa_regression_row():
     hierarchy = PLATFORMS["rpl"]().hierarchy
     module = POLYBENCH_BUILDERS["2mm"]()
     trace_s, trace = time_call(lambda: generate_trace(module), 1)
-    fast_s, fast = time_call(lambda: polyufc_cm(trace, hierarchy, engine="fast"), 1)
+    fast_s, fast = time_call(lambda: polyufc_cm(trace, hierarchy), 1)
     sym_s, symbolic = time_call(lambda: symbolic_cm(module, None, hierarchy), 1)
     if symbolic != fast:
         raise SystemExit("SA cross-check: symbolic != fast on 2mm/SA")

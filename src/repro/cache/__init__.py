@@ -30,6 +30,7 @@ from repro.cache.static_model import (
     LevelCounters,
     LevelModelStats,
     polyufc_cm,
+    reference_cm,
     resolve_engine,
 )
 from repro.cache.memo import (
@@ -61,6 +62,7 @@ __all__ = [
     "LevelCounters",
     "LevelModelStats",
     "polyufc_cm",
+    "reference_cm",
     "CM_ENGINES",
     "resolve_engine",
     "clear_memo",

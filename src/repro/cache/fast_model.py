@@ -1,10 +1,11 @@
 """Vectorized (array-at-a-time) evaluation of the PolyUFC-CM level model.
 
-:func:`repro.cache.static_model._model_level` walks the access stream one
+:func:`repro.cache.static_model.reference_cm` walks the access stream one
 element at a time and maintains per-set LRU stacks in Python lists -- an
-O(assoc) list walk per access that dominates the compile time attributed
-to PolyUFC-CM (paper Tab. IV).  This module computes the *same* cold /
-capacity-conflict classification for every access at once with NumPy.
+O(assoc) list walk per access, far too slow for the compile time
+attributed to PolyUFC-CM (paper Tab. IV), so it stays the oracle.  This
+module computes the *same* cold / capacity-conflict classification for
+every access at once with NumPy.
 
 The backward reuse distance of an access ``i`` (number of distinct
 same-set lines touched since the previous access ``p`` to its line) obeys
@@ -523,8 +524,7 @@ def classify_level(
 
     The cascade checkpoints ``deadline`` (and the ``cm.chunk`` fault
     site) at its stage boundaries and inside the chunked counting
-    rounds, mirroring the reference engine's cooperative interruption
-    points.
+    rounds.
     """
 
     def checkpoint() -> None:

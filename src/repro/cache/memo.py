@@ -281,12 +281,10 @@ def _compute_cm(
     evaluation fell back to the trace-based ``fast`` engine.
     """
     note: Optional[str] = None
-    if engine_name == "parametric":
-        # At the cache layer ``parametric`` is the symbolic evaluation
-        # (identical numbers by construction); the family-artifact reuse
-        # it enables lives in the service layer.
-        engine_name = "symbolic"
-    if engine_name == "symbolic":
+    # At the cache layer ``parametric`` is the symbolic evaluation
+    # (identical numbers by construction); the family-artifact reuse it
+    # enables lives in the service layer.
+    if engine_name in ("symbolic", "parametric"):
         # Imported lazily: symbolic_model depends on this module's
         # siblings and the isllite counting stack.
         from repro.cache.symbolic_model import (
@@ -308,14 +306,13 @@ def _compute_cm(
                 "symbolic CM of %s unsupported (%s); using the fast "
                 "trace engine", module.name, exc,
             )
-            engine_name = "fast"
     stream = memoized_stream(
         module, ops, hierarchy.line_bytes, max_accesses=max_accesses,
         deadline=deadline,
     )
     cm = polyufc_cm(
         stream, hierarchy, threads=threads, parallel=parallel,
-        engine=engine_name, deadline=deadline, hardware=hardware,
+        deadline=deadline, hardware=hardware,
     )
     return cm, note
 

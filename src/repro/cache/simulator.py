@@ -40,14 +40,6 @@ class LevelStats:
     misses: int
     writebacks: int
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def hit_ratio(self) -> float:
-        return 1.0 - self.miss_ratio if self.accesses else 0.0
-
 
 @dataclass(frozen=True)
 class CacheSimResult:
@@ -73,10 +65,6 @@ class CacheSimResult:
     def dram_bytes(self) -> int:
         """Total DRAM traffic (fetches + writebacks)."""
         return self.dram_fetch_bytes + self.dram_writeback_bytes
-
-    def level_traffic_bytes(self, index: int) -> int:
-        """Bytes requested *from* level ``index`` (its access count x line)."""
-        return self.levels[index].accesses * self.line_bytes
 
     def counters(self) -> Tuple[Tuple[str, int, int, int], ...]:
         """Per-level ``(name, accesses, misses, writebacks)`` tuples.

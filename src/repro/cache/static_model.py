@@ -52,17 +52,17 @@ from repro.runtime import Deadline, check as _check_deadline, faults
 log = logging.getLogger("repro.runtime")
 
 #: Selectable CM evaluation engines.  ``fast`` is the vectorized NumPy
-#: stack-distance kernel (:mod:`repro.cache.fast_model`); ``reference``
-#: is the original per-access Python loop, kept as the bit-for-bit
-#: oracle; ``symbolic`` (:mod:`repro.cache.symbolic_model`) computes the
-#: same :class:`LevelModelStats` without materializing the access trace
-#: and falls back to ``fast`` outside its supported quasi-affine class.
+#: stack-distance kernel (:mod:`repro.cache.fast_model`); ``symbolic``
+#: (:mod:`repro.cache.symbolic_model`) computes the same
+#: :class:`LevelModelStats` without materializing the access trace and
+#: falls back to ``fast`` outside its supported quasi-affine class.
 #: ``parametric`` evaluates like ``symbolic`` at the cache layer (same
 #: numbers by construction) and additionally marks the job eligible for
 #: kernel-family artifact reuse in the service layer
 #: (:mod:`repro.cache.parametric_model`).
-#: All engines produce identical :class:`LevelModelStats` where exact.
-CM_ENGINES = ("fast", "reference", "symbolic", "parametric")
+#: All engines produce identical :class:`LevelModelStats` where exact,
+#: and identical to the per-access oracle :func:`reference_cm`.
+CM_ENGINES = ("fast", "symbolic", "parametric")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -79,10 +79,11 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 class LevelCounters(NamedTuple):
     """The engine-comparable counters of one cache level.
 
-    Every CM engine (reference, fast, symbolic) must produce these four
-    numbers bit-for-bit identically; the differential verifier
-    (:mod:`repro.verify`) diffs engines through this struct so a
-    disagreement names the exact level and counter that drifted.
+    Every CM engine (fast, symbolic) and the oracle :func:`reference_cm`
+    must produce these four numbers bit-for-bit identically; the
+    differential verifier (:mod:`repro.verify`) diffs them through this
+    struct so a disagreement names the exact level and counter that
+    drifted.
     """
 
     name: str
@@ -122,10 +123,6 @@ class LevelModelStats:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_ratio(self) -> float:
-        return 1.0 - self.miss_ratio if self.accesses else 0.0
-
 
 @dataclass(frozen=True)
 class CacheModelResult:
@@ -158,85 +155,12 @@ class CacheModelResult:
         """Q_DRAM = Miss_LLC * line size (Sec. IV-C)."""
         return self.miss_llc * self.line_bytes
 
-    def level_traffic_bytes(self, index: int) -> int:
-        """Q_ci: bytes requested from level ``index``."""
-        return self.levels[index].accesses * self.line_bytes
-
     def miss_ratios(self) -> Tuple[float, ...]:
         return tuple(level.miss_ratio for level in self.levels)
-
-    def hit_ratios(self) -> Tuple[float, ...]:
-        return tuple(level.hit_ratio for level in self.levels)
 
     def counters(self) -> Tuple[LevelCounters, ...]:
         """Per-level engine-comparable counters (see :class:`LevelCounters`)."""
         return tuple(level.counters() for level in self.levels)
-
-
-#: Accesses between cooperative checkpoints in the reference engine.
-_REFERENCE_CHECK_EVERY = 4096
-
-
-def _model_level(
-    lines: List[int],
-    writes: List[bool],
-    config: CacheLevelConfig,
-    deadline: Optional[Deadline] = None,
-) -> Tuple[int, int, List[int], List[bool]]:
-    """One write-through level: returns (cold, capacity_conflict, next stream).
-
-    Per-set LRU stacks give the backward reuse distance implicitly: a line
-    found in its set's stack within the top ``k`` entries is a hit; found
-    deeper (or absent after its set filled) is a capacity/conflict miss;
-    never seen before is a cold miss.  The walk checkpoints the cooperative
-    deadline (and the ``cm.chunk`` fault site) every
-    :data:`_REFERENCE_CHECK_EVERY` accesses so a pathological stream can be
-    interrupted mid-level.
-    """
-    num_sets = config.num_sets
-    assoc = config.associativity
-    until_check = _REFERENCE_CHECK_EVERY
-    # A reuse distance >= k means "not within the k most-recent distinct
-    # lines of this set", so a stack capped at k entries plus a seen-set is
-    # equivalent to the unbounded reuse-distance formulation for
-    # hit / capacity-conflict / cold classification -- and stays O(k).
-    stacks: List[List[int]] = [[] for _ in range(num_sets)]
-    seen: List[set] = [set() for _ in range(num_sets)]
-    cold = 0
-    cap_conflict = 0
-    next_lines: List[int] = []
-    next_writes: List[bool] = []
-    for line, is_write in zip(lines, writes):
-        until_check -= 1
-        if until_check <= 0:
-            until_check = _REFERENCE_CHECK_EVERY
-            faults.fire("cm.chunk")
-            _check_deadline(deadline, "cm.chunk")
-        set_index = line % num_sets
-        stack = stacks[set_index]
-        missed = False
-        try:
-            depth = stack.index(line)
-            stack.insert(0, stack.pop(depth))
-        except ValueError:
-            missed = True
-            set_seen = seen[set_index]
-            if line in set_seen:
-                cap_conflict += 1
-            else:
-                cold += 1
-                set_seen.add(line)
-            stack.insert(0, line)
-            if len(stack) > assoc:
-                stack.pop()
-        if missed:
-            next_lines.append(line)
-            next_writes.append(False)
-        if is_write:
-            # write-through: the write itself is forwarded down
-            next_lines.append(line)
-            next_writes.append(True)
-    return cold, cap_conflict, next_lines, next_writes
 
 
 @dataclass
@@ -281,49 +205,34 @@ def polyufc_cm(
     hierarchy: CacheHierarchy,
     threads: int = 1,
     parallel: bool = False,
-    engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     hardware: Optional[SimulatorTail] = None,
 ) -> CacheModelResult:
     """Run PolyUFC-CM over a kernel's scheduled access relation.
 
     ``trace`` is the relation's :class:`~repro.cache.trace.LineStream`
-    for the hierarchy's line size, or a trace to derive it from.
+    for the hierarchy's line size, or a trace to derive it from; the
+    vectorized stack-distance kernel (:mod:`repro.cache.fast_model`)
+    evaluates it.
     ``threads``/``parallel`` enable the paper's OpenMP sharing heuristic:
     miss counts of loop-parallel kernels are divided by the thread count.
-    ``engine`` selects the level evaluator (:data:`CM_ENGINES`); the
-    default is ``fast``.
-    ``deadline`` is checkpointed at every level boundary and inside both
-    engines' chunk loops, so an armed ``cm_timeout_s`` interrupts the
+    ``deadline`` is checkpointed at every level boundary and inside the
+    engine's chunk loops, so an armed ``cm_timeout_s`` interrupts the
     evaluation mid-unit instead of after the fact.
 
-    ``hardware`` asks the fast engine for the result's ``hardware``
-    simulation (see :class:`SimulatorTail`); it is ignored unless its
-    hierarchy is ``hierarchy``, so the shared classification is always
-    the one the simulator would compute itself.
+    ``hardware`` asks for the result's ``hardware`` simulation (see
+    :class:`SimulatorTail`); it is ignored unless its hierarchy is
+    ``hierarchy``, so the shared classification is always the one the
+    simulator would compute itself.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    engine = resolve_engine(engine)
     faults.fire("cm.engine")
     _check_deadline(deadline, "cm.engine")
     stream = line_stream(trace, hierarchy.line_bytes)
-    if engine in ("symbolic", "parametric"):
-        # Both engines are trace-free; once a trace has been
-        # materialized (approximate rung, direct callers) the vectorized
-        # trace evaluator is the right tool, so the name degrades to it.
-        engine = "fast"
-    if engine == "fast":
-        lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
-        writes = stream.writes
-    else:
-        lines = stream.lines.tolist()
-        writes = stream.writes.tolist()
-    share = (
-        hardware is not None
-        and engine == "fast"
-        and hardware.hierarchy == hierarchy
-    )
+    lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
+    writes = stream.writes
+    share = hardware is not None and hardware.hierarchy == hierarchy
     first_level: Optional[MissClassification] = None
     last = len(hierarchy.levels) - 1
     divider = threads if (parallel and threads > 1) else 1
@@ -332,28 +241,21 @@ def polyufc_cm(
         faults.fire("cm.chunk")
         _check_deadline(deadline, f"cm.level:{config.name}")
         accesses = len(lines)
-        if engine != "fast":
-            cold, cap_conflict, lines, writes = _model_level(
-                lines, writes, config, deadline=deadline
+        # Only a shared first-level classification outlives its level;
+        # every other one is released inside the level.
+        stages = None
+        if index == 0 and share:
+            stages = first_level = classify_level(lines, config, deadline)
+        if index < last:
+            cold, cap_conflict, lines, writes = _fast_model_level(
+                lines, writes, config, deadline=deadline, stages=stages
             )
         else:
-            # Only a shared first-level classification outlives its
-            # level; every other one is released inside the level.
-            stages = None
-            if index == 0 and share:
-                stages = first_level = classify_level(
-                    lines, config, deadline
-                )
-            if index < last:
-                cold, cap_conflict, lines, writes = _fast_model_level(
-                    lines, writes, config, deadline=deadline, stages=stages
-                )
-            else:
-                # Nothing reads a stream past the last level: count only.
-                if stages is None:
-                    stages = classify_level(lines, config, deadline)
-                cold, cap_conflict = stages.cold, stages.capacity_conflict
-            del stages
+            # Nothing reads a stream past the last level: count only.
+            if stages is None:
+                stages = classify_level(lines, config, deadline)
+            cold, cap_conflict = stages.cold, stages.capacity_conflict
+        del stages
         # The paper's heuristic divides miss counts by the thread count to
         # model working-set sharing.  Two refinements keep the counts
         # physical: (1) cold misses are never divided (threads share the
@@ -376,6 +278,87 @@ def polyufc_cm(
         tuple(stats), hierarchy.line_bytes, len(stream), threads,
         hardware=hardware.run(stream, first_level) if share else None,
     )
+
+
+def _reference_level(
+    lines: List[int], writes: List[bool], config: CacheLevelConfig
+) -> Tuple[int, int, List[int], List[bool]]:
+    """One write-through level, per access: (cold, capacity_conflict,
+    next-level lines, next-level write flags).
+
+    Per-set LRU stacks give the backward reuse distance implicitly: a line
+    found in its set's stack within the top ``k`` entries is a hit; found
+    deeper (or absent after its set filled) is a capacity/conflict miss;
+    never seen before is a cold miss.
+    """
+    num_sets = config.num_sets
+    assoc = config.associativity
+    # A reuse distance >= k means "not within the k most-recent distinct
+    # lines of this set", so a stack capped at k entries plus a seen-set is
+    # equivalent to the unbounded reuse-distance formulation for
+    # hit / capacity-conflict / cold classification -- and stays O(k).
+    stacks: List[List[int]] = [[] for _ in range(num_sets)]
+    seen: List[set] = [set() for _ in range(num_sets)]
+    cold = 0
+    cap_conflict = 0
+    next_lines: List[int] = []
+    next_writes: List[bool] = []
+    for line, is_write in zip(lines, writes):
+        set_index = line % num_sets
+        stack = stacks[set_index]
+        missed = False
+        try:
+            depth = stack.index(line)
+            stack.insert(0, stack.pop(depth))
+        except ValueError:
+            missed = True
+            set_seen = seen[set_index]
+            if line in set_seen:
+                cap_conflict += 1
+            else:
+                cold += 1
+                set_seen.add(line)
+            stack.insert(0, line)
+            if len(stack) > assoc:
+                stack.pop()
+        if missed:
+            next_lines.append(line)
+            next_writes.append(False)
+        if is_write:
+            # write-through: the write itself is forwarded down
+            next_lines.append(line)
+            next_writes.append(True)
+    return cold, cap_conflict, next_lines, next_writes
+
+
+def reference_cm(
+    trace: Union[AccessTrace, LineStream], hierarchy: CacheHierarchy
+) -> CacheModelResult:
+    """The per-access oracle of :func:`polyufc_cm`, for one thread.
+
+    Walks every level with :func:`_reference_level` in plain Python.  No
+    pipeline path runs it: the fast engine must equal it bit for bit,
+    and the tests, the differential fuzzer (:mod:`repro.verify`) and
+    ``benchmarks/bench_perf_cm.py`` diff against it.
+    """
+    stream = line_stream(trace, hierarchy.line_bytes)
+    lines = stream.lines.tolist()
+    writes = stream.writes.tolist()
+    stats: List[LevelModelStats] = []
+    for config in hierarchy.levels:
+        accesses = len(lines)
+        cold, cap_conflict, lines, writes = _reference_level(
+            lines, writes, config
+        )
+        stats.append(
+            LevelModelStats(
+                config.name,
+                accesses=accesses,
+                cold_misses=cold,
+                capacity_conflict_misses=cap_conflict,
+            )
+        )
+    return CacheModelResult(tuple(stats), hierarchy.line_bytes, len(stream), 1)
 
 
 def _divide(count: int, divider: int) -> int:

@@ -33,16 +33,28 @@ def _add_platform(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a number of seconds >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}"
+        ) from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _add_cm_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cm-engine", default=None, choices=list(CM_ENGINES),
         help="PolyUFC-CM evaluator (default: fast)",
     )
     parser.add_argument(
-        "--cm-timeout", type=float, default=None, metavar="SECONDS",
+        "--cm-timeout", type=_seconds, default=None, metavar="SECONDS",
         help="PolyUFC-CM deadline; units exceeding it degrade per the "
-        "ladder and fall back to the f_max cap "
-        "(default: $REPRO_CM_TIMEOUT_S or unlimited)",
+        "ladder and fall back to the f_max cap (default: unlimited)",
     )
 
 
@@ -152,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--store", default=None, metavar="DIR",
-        help="result-store root (default: $REPRO_STORE_DIR / "
-        "$REPRO_CACHE_DIR/store; honours REPRO_NO_CACHE=1)",
+        help="result-store root (default: $REPRO_CACHE_DIR/store; "
+        "honours REPRO_NO_CACHE=1)",
     )
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -348,12 +360,11 @@ def _cmd_compile(
     from repro.hw import get_platform
     from repro.ir import print_module
     from repro.pipeline import polyufc_compile
-    from repro.runtime import resolve_timeout
 
     platform = get_platform(platform_name)
     result = polyufc_compile(
         get_benchmark(kernel).module(), platform, objective=objective,
-        cm_engine=cm_engine, cm_timeout_s=resolve_timeout(cm_timeout),
+        cm_engine=cm_engine, cm_timeout_s=cm_timeout,
     )
     print(print_module(result.capped_module))
     for unit in result.units:

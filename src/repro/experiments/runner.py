@@ -10,7 +10,7 @@ from (and persisted to) the shared
 :class:`~repro.service.store.ResultStore`, and the computation itself is
 :func:`repro.service.execute_report` -- the exact same path the batch
 scheduler and the HTTP front use.  ``REPRO_NO_CACHE=1`` disables
-persistence, ``REPRO_CACHE_DIR`` / ``REPRO_STORE_DIR`` relocate it.
+persistence, ``REPRO_CACHE_DIR`` relocates it.
 
 ``baseline_comparison`` and ``frequency_sweep`` then evaluate the cached
 workloads through the execution model -- those calls are cheap, so sweeps
@@ -33,7 +33,6 @@ from repro.hw.governor import (
 )
 from repro.hw.platform import get_platform
 from repro.mlpolyufc.reports import KernelReport
-from repro.runtime import resolve_timeout
 
 log = logging.getLogger("repro.runtime")
 
@@ -56,10 +55,9 @@ def kernel_report(
 ) -> KernelReport:
     """Compile one benchmark for one platform; results are store-backed.
 
-    ``cm_timeout_s`` (default ``$REPRO_CM_TIMEOUT_S``) bounds the
-    PolyUFC-CM stage; reports containing degraded units are returned but
-    never persisted (store policy), so a transient timeout cannot poison
-    the cache.
+    ``cm_timeout_s`` (default: unbounded) bounds the PolyUFC-CM stage;
+    reports containing degraded units are returned but never persisted
+    (store policy), so a transient timeout cannot poison the cache.
     """
     from repro.service import JobSpec, ResultStore, execute_report
 
@@ -73,15 +71,14 @@ def kernel_report(
         epsilon=epsilon,
         cap_overhead_factor=cap_overhead_factor,
         engine=cm_engine,
+        cm_timeout_s=cm_timeout_s,
     )
     store = ResultStore() if _cache_enabled() else None
     if store is not None:
         cached = store.get_report(spec.digest())
         if cached is not None:
             return cached
-    report = execute_report(
-        spec, store=store, cm_timeout_s=resolve_timeout(cm_timeout_s),
-    )
+    report = execute_report(spec, store=store)
     if store is not None:
         store.put_report(spec, report)  # refuses degraded reports
     return report
@@ -107,10 +104,6 @@ class Comparison:
     @property
     def edp_gain(self) -> float:
         return self.baseline.edp / self.capped.edp
-
-    @property
-    def edp_improvement_pct(self) -> float:
-        return (1.0 - self.capped.edp / self.baseline.edp) * 100.0
 
 
 def baseline_comparison(

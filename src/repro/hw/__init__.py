@@ -1,12 +1,13 @@
-"""Simulated hardware: platforms, execution model, uncore drivers, counters.
+"""Simulated hardware: platforms, execution model and uncore drivers.
 
 This package replaces the paper's physical testbed (Tab. III): two x86
-platforms with core/uncore frequency domains, RAPL-like energy counters and
-PAPI-like performance counters.  "Measuring" a kernel means pushing its
-exact memory trace through the cache simulator and converting flops and
-traffic into time and power with the platform's ground-truth parameters --
-parameters the PolyUFC roofline fits only *approximate*, which is what
-makes model-vs-hardware comparisons meaningful.
+platforms with core/uncore frequency domains.  The cache simulator's
+counters stand in for PAPI and the execution model's energy for RAPL:
+"measuring" a kernel means pushing its exact memory trace through the
+cache simulator and converting flops and traffic into time and power
+with the platform's ground-truth parameters -- parameters the PolyUFC
+roofline fits only *approximate*, which is what makes model-vs-hardware
+comparisons meaningful.
 """
 
 from repro.hw.platform import (
@@ -22,7 +23,6 @@ from repro.hw.execution import (
     RunResult,
     execute_fixed,
     workload_from_sim,
-    workload_from_model,
 )
 from repro.hw.governor import (
     GovernorConfig,
@@ -32,7 +32,6 @@ from repro.hw.governor import (
     run_governed_sequence,
 )
 from repro.hw.duf import DufConfig, run_duf_sequence
-from repro.hw.counters import PapiCounters, RaplReading, papi_measure, rapl_measure
 
 __all__ = [
     "PlatformSpec",
@@ -45,7 +44,6 @@ __all__ = [
     "RunResult",
     "execute_fixed",
     "workload_from_sim",
-    "workload_from_model",
     "GovernorConfig",
     "SequenceResult",
     "exhaustion_warning",
@@ -53,8 +51,4 @@ __all__ = [
     "run_governed_sequence",
     "DufConfig",
     "run_duf_sequence",
-    "PapiCounters",
-    "RaplReading",
-    "papi_measure",
-    "rapl_measure",
 ]

@@ -27,7 +27,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.cache.simulator import CacheSimResult
-from repro.cache.static_model import CacheModelResult
 from repro.hw.platform import PlatformSpec
 
 
@@ -88,26 +87,6 @@ def workload_from_sim(
         dram_fetch_bytes=sim.dram_fetch_bytes,
         dram_writeback_bytes=sim.dram_writeback_bytes,
         dram_lines=sim.llc.misses + sim.llc.writebacks,
-        parallel=parallel,
-        threads=threads,
-    )
-
-
-def workload_from_model(
-    name: str,
-    flops: int,
-    model: CacheModelResult,
-    parallel: bool = False,
-    threads: int = 1,
-) -> KernelWorkload:
-    """Build a workload from PolyUFC-CM counters (write-through, no WB)."""
-    return KernelWorkload(
-        name=name,
-        flops=flops,
-        level_accesses=tuple(level.accesses for level in model.levels),
-        dram_fetch_bytes=model.q_dram_bytes,
-        dram_writeback_bytes=0,
-        dram_lines=model.miss_llc,
         parallel=parallel,
         threads=threads,
     )

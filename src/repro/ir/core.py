@@ -210,9 +210,6 @@ class Module:
         for op in self.ops:
             yield from op.walk()
 
-    def top_level_ops(self) -> List[Op]:
-        return list(self.ops)
-
     def clone_structure(self, name: str = None) -> "Module":
         """A new module sharing buffer declarations but with no ops."""
         fresh = Module(name or self.name)

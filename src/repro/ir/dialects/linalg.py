@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.ir.core import Buffer, IRError, Module, Op
+from repro.ir.core import Buffer, IRError, Op
 
 UNARY_EW_KINDS = ("exp", "relu", "neg", "copy", "scale", "add_scalar")
 BINARY_EW_KINDS = ("add", "sub", "mul", "div", "max")
@@ -335,8 +335,3 @@ class BroadcastCombineOp(LinalgOp):
 
     def flops(self) -> int:
         return self.iteration_points()
-
-
-def linalg_ops(module: Module) -> List[LinalgOp]:
-    """Top-level linalg ops of a module, in program order."""
-    return [op for op in module.ops if isinstance(op, LinalgOp)]

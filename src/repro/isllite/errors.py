@@ -16,7 +16,3 @@ class CountBudgetExceeded(IslError):
     silently degrades to an estimate (and reports it via
     :class:`repro.isllite.count.CountResult.exact`).
     """
-
-
-class NonAffineError(IslError):
-    """An expression outside the supported quasi-affine class was used."""

@@ -65,10 +65,6 @@ class BasicMap:
         """The map as a set over the concatenated in+out dims."""
         return BasicSet(self.space.wrapped_space(), self.constraints)
 
-    @staticmethod
-    def from_wrapped(space: MapSpace, bset: BasicSet) -> "BasicMap":
-        return BasicMap(space, bset.constraints)
-
     def reverse(self) -> "BasicMap":
         return BasicMap(self.space.reversed(), self.constraints)
 

@@ -94,10 +94,6 @@ class BasicSet:
         space = self.space.drop_dims(names)
         return BasicSet(space, project(self.constraints, names))
 
-    def project_onto(self, names: Sequence[str]) -> "BasicSet":
-        drop = [d for d in self.space.dims if d not in set(names)]
-        return self.project_out(drop)
-
     def rename(self, mapping: Mapping[str, str]) -> "BasicSet":
         space = Space(
             [mapping.get(d, d) for d in self.space.dims],
@@ -326,9 +322,6 @@ class Set:
             for b in other.pieces
         ]
         return Set(self.space, pieces)
-
-    def intersect_basic(self, bset: BasicSet) -> "Set":
-        return Set(self.space, [p.intersect(bset) for p in self.pieces])
 
     def subtract(self, other: "Set") -> "Set":
         """Set difference.  Produces disjoint pieces per subtracted basic set

@@ -231,7 +231,6 @@ def approximate_cm(
     hierarchy: CacheHierarchy,
     threads: int,
     parallel: bool,
-    engine: Optional[str],
     statements,
     params,
     max_accesses: int,
@@ -254,7 +253,7 @@ def approximate_cm(
             "approximate rung traced no accesses", site="cm.trace"
         )
     cm = polyufc_cm(
-        trace, hierarchy, threads=threads, parallel=parallel, engine=engine,
+        trace, hierarchy, threads=threads, parallel=parallel,
         deadline=deadline,
     )
     estimated = _estimated_unit_accesses(statements, params, ops, deadline)
@@ -268,7 +267,6 @@ def characterize_units(
     platform: PlatformSpec,
     constants: RooflineConstants,
     granularity: str = "linalg",
-    threads: Optional[int] = None,
     set_associative: bool = True,
     max_trace_accesses: int = 60_000_000,
     engine: Optional[str] = None,
@@ -296,7 +294,7 @@ def characterize_units(
     ``degraded="timeout-cap"`` (safe ``f_max`` cap) plus a structured
     ``warning``, never a crashed pipeline.
     """
-    threads = platform.threads if threads is None else threads
+    threads = platform.threads
     hierarchy = (
         platform.hierarchy
         if set_associative
@@ -348,7 +346,7 @@ def characterize_units(
         if deadline is None or not deadline.expired():
             try:
                 cm = approximate_cm(
-                    module, ops, hierarchy, threads, parallel, engine,
+                    module, ops, hierarchy, threads, parallel,
                     statements, params, max_trace_accesses,
                     deadline=deadline,
                 )

@@ -135,11 +135,9 @@ def polyufc_compile(
     epsilon: float = 1e-3,
     granularity: str = "linalg",
     tile_size: int = 32,
-    threads: Optional[int] = None,
     set_associative: bool = True,
     cm_timeout_s: Optional[float] = None,
     cap_overhead_factor: float = 50.0,
-    verify: bool = True,
     cm_engine: Optional[str] = None,
     cm_lookup=None,
     simulate_hardware: bool = False,
@@ -170,9 +168,8 @@ def polyufc_compile(
     tiled_module, tile_infos = tile_and_parallelize(
         affine_module, tile_size=tile_size
     )
-    if verify:
-        tiled_module.verify()
-        verify_affine(tiled_module)
+    tiled_module.verify()
+    verify_affine(tiled_module)
     timings.pluto_ms = (time.perf_counter() - started) * 1e3
 
     started = time.perf_counter()
@@ -188,7 +185,6 @@ def polyufc_compile(
             platform,
             constants,
             granularity=granularity,
-            threads=threads,
             set_associative=set_associative,
             engine=cm_engine,
             deadline=deadline,

@@ -17,7 +17,6 @@ from repro.poly.dependences import (
 )
 from repro.poly.transforms import TileInfo, tile_and_parallelize
 from repro.poly.fusion import fuse_pointwise_nests
-from repro.poly.interchange import interchange, permutation_is_legal
 
 __all__ = [
     "AccessRef",
@@ -31,6 +30,4 @@ __all__ = [
     "TileInfo",
     "tile_and_parallelize",
     "fuse_pointwise_nests",
-    "interchange",
-    "permutation_is_legal",
 ]

@@ -14,7 +14,7 @@ Three cooperating pieces (see ``docs/ROBUSTNESS.md``):
   disk I/O for the persistent caches.
 """
 
-from repro.runtime.deadline import Deadline, check, resolve_timeout
+from repro.runtime.deadline import Deadline, check
 from repro.runtime.errors import (
     CacheCorruption,
     DeadlineExceeded,
@@ -40,7 +40,6 @@ from repro.runtime.io import (
 __all__ = [
     "Deadline",
     "check",
-    "resolve_timeout",
     "ReproError",
     "DeadlineExceeded",
     "CacheCorruption",

@@ -2,7 +2,8 @@
 
 A :class:`Deadline` is a shared wall-clock budget created once at the top
 of ``polyufc_compile`` and threaded down through ``characterize_units``,
-both CM engines and ``isllite`` counting.  Work checks it at *chunk
+the CM engines and ``isllite`` counting.  Its budget is set only by
+argument (``cm_timeout_s``, ``--cm-timeout``).  Work checks it at *chunk
 boundaries* (``deadline.check(site)``); an expired deadline raises
 :class:`repro.runtime.errors.DeadlineExceeded`, which the degradation
 ladder in ``characterize_units`` converts into a cheaper rung instead of
@@ -15,14 +16,10 @@ instance and every worker sees the same budget.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
 from repro.runtime.errors import DeadlineExceeded
-
-#: Environment knob consumed by :func:`resolve_timeout`.
-TIMEOUT_ENV = "REPRO_CM_TIMEOUT_S"
 
 
 class Deadline:
@@ -70,18 +67,3 @@ def check(deadline: Optional[Deadline], site: str = "") -> None:
     if deadline is not None:
         deadline.check(site)
 
-
-def resolve_timeout(
-    value: Optional[float] = None, env: str = TIMEOUT_ENV
-) -> Optional[float]:
-    """Timeout resolution: explicit arg > ``$REPRO_CM_TIMEOUT_S`` > None."""
-    if value is not None:
-        return value
-    raw = os.environ.get(env)
-    if not raw:
-        return None
-    try:
-        parsed = float(raw)
-    except ValueError:
-        return None
-    return parsed if parsed >= 0 else None

@@ -54,7 +54,7 @@ SEED_ENV = "REPRO_FAULTS_SEED"
 KNOWN_SITES = (
     "cm.trace",     # trace generation entry (repro.cache.trace)
     "cm.engine",    # CM engine entry (repro.cache.static_model.polyufc_cm)
-    "cm.chunk",     # per-chunk checkpoint inside both CM engines
+    "cm.chunk",     # per-level and per-chunk checkpoints of the CM engines
     "cm.count",     # isllite exact-count scan loop
     "report.read",  # kernel-report cache read
     "report.write", # kernel-report cache write

@@ -51,7 +51,6 @@ class ServiceClient:
         store: Union[None, bool, str, Path, ResultStore] = None,
         workers: Optional[int] = None,
         sink: Optional[EventSink] = None,
-        cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
         max_pending: Optional[int] = None,
     ):
@@ -61,7 +60,6 @@ class ServiceClient:
             store=self.store,
             workers=workers,
             sink=self.sink,
-            cm_timeout_s=cm_timeout_s,
             executor=executor,
             max_pending=max_pending,
         )

@@ -7,8 +7,10 @@ flow (compile, per-unit CM with the exact->approx->cap degradation
 ladder under the job's deadline) and attaches the hardware-side workload
 (exact cache-simulator counters), reusing the store's content-addressed
 workload objects when jobs differ only in objective / epsilon / overhead
-/ engine -- the simulator never sees those knobs, so the counters are
-shared by construction.
+/ engine / associativity -- the simulator never sees those knobs (it
+always runs the platform's hierarchy), so the counters are shared by
+construction: a fully-associative job reuses its set-associative
+sibling's rows.
 
 When the job still needs those counters, the CM stage produces them: the
 fast engine classifies each unit's first cache level once and runs both
@@ -39,7 +41,6 @@ from repro.mlpolyufc.characterization import (
 )
 from repro.mlpolyufc.reports import KernelReport, UnitReport
 from repro.pipeline import polyufc_compile
-from repro.runtime import resolve_timeout
 from repro.service.spec import JobSpec
 
 log = logging.getLogger("repro.runtime")
@@ -214,13 +215,12 @@ def execute_report(
     (``eligible``/``source``/``served_units``/``sampled``/``fitted``/
     ``poisoned``) so the scheduler can emit lifecycle events.
 
-    ``cm_timeout_s`` overrides the spec's deadline (argument > spec >
-    env, resolved via :func:`repro.runtime.resolve_timeout`); it never
-    changes an exact number.
+    ``cm_timeout_s`` overrides the spec's deadline (the scheduler passes
+    0 for a shed job); it never changes an exact number.
     """
     spec.validate()
     if cm_timeout_s is None:
-        cm_timeout_s = resolve_timeout(spec.cm_timeout_s)
+        cm_timeout_s = spec.cm_timeout_s
     plat = get_platform(spec.platform)
     sizes = spec.effective_sizes()
     family_eligible = (

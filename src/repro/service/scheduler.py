@@ -23,11 +23,10 @@ is already stored is served from it at full fidelity.  No well-formed
 submission is refused.
 
 Per-job deadlines ride the existing cooperative machinery: the spec's
-``cm_timeout_s`` (or the scheduler default) becomes a
-:class:`repro.runtime.Deadline` inside the pipeline, and a unit that
-exceeds it walks the exact -> approx -> timeout-cap ladder instead of
-blocking the pool; such reports complete normally but are never
-persisted.
+``cm_timeout_s`` becomes a :class:`repro.runtime.Deadline` inside the
+pipeline, and a unit that exceeds it walks the exact -> approx ->
+timeout-cap ladder instead of blocking the pool; such reports complete
+normally but are never persisted.
 
 Every completion carries a ``served_by`` attribution (``cache`` for a
 store hit, ``local`` for a pipeline run on the backend, ``family`` when
@@ -46,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.mlpolyufc.reports import KernelReport
-from repro.runtime import resolve_timeout
 from repro.service.events import EventSink, ListSink, make_event
 from repro.service.pool import make_backend
 from repro.service.spec import JobSpec
@@ -99,7 +97,6 @@ class Scheduler:
         store: Optional[ResultStore] = None,
         workers: Optional[int] = None,
         sink: Optional[EventSink] = None,
-        cm_timeout_s: Optional[float] = None,
         executor: Optional[str] = None,
         max_pending: Optional[int] = None,
     ):
@@ -107,7 +104,6 @@ class Scheduler:
         self.sink = sink if sink is not None else ListSink()
         #: Jobs run at once -- the only parallelism in the pipeline.
         self.width = max(1, workers or 1)
-        self.default_timeout_s = cm_timeout_s
         self.max_pending = max_pending
         store_root = getattr(store, "root", None)
         self._backend = make_backend(
@@ -230,17 +226,13 @@ class Scheduler:
 
     # -- execution -----------------------------------------------------
 
-    def _job_timeout(self, job: Job) -> float:
+    def _job_timeout(self, job: Job) -> Optional[float]:
         """The job's CM deadline (0 for shed jobs: timeout-cap rung)."""
         if job.shed:
             # Deadline 0: every unit takes the timeout-cap rung
             # immediately, so the job costs compile time only.
             return 0.0
-        return (
-            job.spec.cm_timeout_s
-            if job.spec.cm_timeout_s is not None
-            else resolve_timeout(self.default_timeout_s)
-        )
+        return job.spec.cm_timeout_s
 
     def _fail_job(self, job: Job, exc: BaseException) -> None:
         """Terminal failure: event, release, followers, future."""

@@ -17,16 +17,18 @@ degraded result is not persisted at all -- see ``repro.service.store``).
 
 The hardware-side workload (exact cache-simulator counters) depends on a
 strict subset of the fields -- not on ``objective``, ``epsilon`` or
-``cap_overhead_factor``, which only steer cap selection -- so it has its
-own coarser :meth:`~JobSpec.workload_digest`, letting jobs that differ
-only in those knobs share the expensive trace + simulation work.
+``cap_overhead_factor``, which only steer cap selection, nor on the CM's
+engine or ``set_associative``, because the simulator always runs the
+platform's own hierarchy -- so it has its own coarser
+:meth:`~JobSpec.workload_digest`, letting jobs that differ only in those
+knobs share the expensive trace + simulation work.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
 
@@ -175,10 +177,6 @@ class JobSpec:
         """The engine the job will actually run (``fast`` when unset)."""
         return resolve_engine(self.engine)
 
-    def resolved(self) -> "JobSpec":
-        """A copy with the engine pinned, for stable digests."""
-        return replace(self, engine=self.resolved_engine())
-
     def digest(self) -> str:
         """The content address of this job's full report."""
         blob = canonical_json(
@@ -205,9 +203,9 @@ class JobSpec:
         """The content address of the hardware-side workload counters.
 
         Coarser than :meth:`digest`: the exact simulator sees the tiled
-        module and the hierarchy, never the objective/epsilon/overhead
-        knobs or the CM engine, so jobs differing only in those share
-        this slot.
+        module and the platform's hierarchy, never the objective/epsilon/
+        overhead knobs, the CM engine or the CM's associativity, so jobs
+        differing only in those share this slot.
         """
         blob = canonical_json(
             [
@@ -217,7 +215,6 @@ class JobSpec:
                     "benchmark": self.benchmark,
                     "platform": self.platform,
                     "granularity": self.granularity,
-                    "set_associative": self.set_associative,
                     "tile_size": self.tile_size,
                     "sizes": dict(self.sizes),
                 },

@@ -1,13 +1,13 @@
 """The content-addressed characterization result store.
 
-Layout (under :func:`store_root`, relocatable via ``REPRO_STORE_DIR`` or
-``REPRO_CACHE_DIR``)::
+Layout (under :func:`store_root`, relocatable via ``REPRO_CACHE_DIR``)::
 
     store/
       reports/<spec-digest>.json      one KernelReport per job digest
       workloads/<workload-digest>.json  hardware-side counters, shared by
                                         jobs differing only in objective /
-                                        epsilon / overhead / engine
+                                        epsilon / overhead / engine /
+                                        associativity
       families/<family-digest>.json   one parametric characterization
                                       artifact per kernel family, shared
                                       by every problem size (size-erased
@@ -62,14 +62,9 @@ from repro.service.spec import JobSpec
 
 log = logging.getLogger("repro.runtime")
 
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-
 
 def store_root() -> Path:
-    """Store location: $REPRO_STORE_DIR > $REPRO_CACHE_DIR/store > repo."""
-    explicit = os.environ.get(STORE_DIR_ENV)
-    if explicit:
-        return Path(explicit)
+    """Store location: $REPRO_CACHE_DIR/store, else the checkout's."""
     cache = os.environ.get("REPRO_CACHE_DIR")
     if cache:
         return Path(cache) / "store"

@@ -6,8 +6,9 @@ and runs the full check battery:
 **Differential** (bit-for-bit, via the engine-comparable
 :class:`~repro.cache.static_model.LevelCounters` structs):
 
-* ``reference`` (per-access Python loop) vs ``fast`` (vectorized) vs
-  ``symbolic`` (trace-free; where supported) -- per-level accesses,
+* the ``reference`` oracle (:func:`~repro.cache.reference_cm`, the
+  per-access Python loop) vs the ``fast`` (vectorized) and ``symbolic``
+  (trace-free; where supported) engines -- per-level accesses,
   cold misses, capacity/conflict misses, plus the derived ``Q_DRAM``,
   operational intensity, and CB/BB verdict.
 * the memo path (:func:`repro.cache.memo.memoized_cm_with_note`) must
@@ -61,6 +62,7 @@ from repro.cache import (
     generate_trace,
     memoized_cm_with_note,
     polyufc_cm,
+    reference_cm,
     reference_generate_trace,
     simulate_hierarchy,
     symbolic_cm,
@@ -195,8 +197,8 @@ def run_case(spec: KernelSpec) -> CaseResult:
 
     # --- differential: reference vs fast vs symbolic -------------------
     result.checks_run.append("engine-diff")
-    reference = polyufc_cm(trace, hierarchy, engine="reference")
-    fast = polyufc_cm(trace, hierarchy, engine="fast")
+    reference = reference_cm(trace, hierarchy)
+    fast = polyufc_cm(trace, hierarchy)
     _diff_counters(
         "engine-diff",
         "reference",
@@ -290,14 +292,12 @@ def run_case(spec: KernelSpec) -> CaseResult:
 
     # --- differential: degradation plumbing is a no-op when idle ---------
     result.checks_run.append("degradation-noop")
-    relaxed = polyufc_cm(
-        trace, hierarchy, engine="reference", deadline=Deadline(3600.0)
-    )
+    relaxed = polyufc_cm(trace, hierarchy, deadline=Deadline(3600.0))
     _diff_counters(
         "degradation-noop",
-        "reference",
-        reference.counters(),
-        "reference+deadline",
+        "fast",
+        fast.counters(),
+        "fast+deadline",
         relaxed.counters(),
         result.disagreements,
     )
@@ -346,10 +346,7 @@ def run_case(spec: KernelSpec) -> CaseResult:
 
     # --- differential: vectorized simulator vs the reference loop --------
     result.checks_run.append("simulator-diff")
-    shared = polyufc_cm(
-        trace, hierarchy, engine="fast",
-        hardware=SimulatorTail(hierarchy),
-    )
+    shared = polyufc_cm(trace, hierarchy, hardware=SimulatorTail(hierarchy))
     _diff_counters(
         "simulator-diff",
         "reference",
@@ -415,8 +412,8 @@ def _metamorphic_checks(
     result.checks_run.append("capacity-monotonic")
     fa_small = CacheLevelConfig("FAc", base.size_bytes, line, base_lines)
     fa_big = CacheLevelConfig("FA2c", 2 * base.size_bytes, line, 2 * base_lines)
-    cm_small = polyufc_cm(trace, _single_level(fa_small), engine="fast")
-    cm_big = polyufc_cm(trace, _single_level(fa_big), engine="fast")
+    cm_small = polyufc_cm(trace, _single_level(fa_small))
+    cm_big = polyufc_cm(trace, _single_level(fa_big))
     small_cold, small_cc = _level0_misses(cm_small)
     big_cold, big_cc = _level0_misses(cm_big)
     if big_cold + big_cc > small_cold + small_cc:
@@ -435,8 +432,8 @@ def _metamorphic_checks(
     sa_hi = CacheLevelConfig(
         "SA2k", 2 * base.size_bytes, line, 2 * base.associativity
     )
-    cm_lo = polyufc_cm(trace, _single_level(sa_lo), engine="fast")
-    cm_hi = polyufc_cm(trace, _single_level(sa_hi), engine="fast")
+    cm_lo = polyufc_cm(trace, _single_level(sa_lo))
+    cm_hi = polyufc_cm(trace, _single_level(sa_hi))
     lo_cold, lo_cc = _level0_misses(cm_lo)
     hi_cold, hi_cc = _level0_misses(cm_hi)
     assert sa_hi.num_sets == num_sets  # same mapping, deeper stacks
@@ -465,9 +462,7 @@ def _metamorphic_checks(
     renamed_spec = rename_dims(spec)
     renamed_module = build_module(renamed_spec)
     renamed_trace = generate_trace(renamed_module)
-    renamed = polyufc_cm(
-        renamed_trace, build_hierarchy(renamed_spec), engine="fast"
-    )
+    renamed = polyufc_cm(renamed_trace, build_hierarchy(renamed_spec))
     _diff_counters(
         "rename-invariance",
         "original",

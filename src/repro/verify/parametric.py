@@ -49,6 +49,7 @@ from repro.cache import (
     SymbolicUnsupported,
     generate_trace,
     polyufc_cm,
+    reference_cm,
     symbolic_cm,
 )
 from repro.cache.parametric_model import (
@@ -211,8 +212,8 @@ def _engine_battery(concrete: KernelSpec, label: str, out: List[Disagreement]):
     module = build_module(concrete)
     hierarchy = build_hierarchy(concrete)
     trace = generate_trace(module)
-    reference = polyufc_cm(trace, hierarchy, engine="reference")
-    fast = polyufc_cm(trace, hierarchy, engine="fast")
+    reference = reference_cm(trace, hierarchy)
+    fast = polyufc_cm(trace, hierarchy)
     _diff_counters(
         f"engine-diff@{label}",
         "reference",

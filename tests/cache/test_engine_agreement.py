@@ -4,8 +4,9 @@ The promotion of ``scripts/_dev_check_symbolic.py``: every registered
 benchmark (all 30 PolyBench kernels at reduced sizes, all 7 ML kernels
 via tiny same-shape variants), against both a set-associative and a
 fully-associative hierarchy, must produce identical per-level counters
-from the ``fast`` and ``reference`` engines -- and from the ``symbolic``
-engine wherever it declares the kernel supported.  Unsupported kernels
+from the ``fast`` engine and the per-access ``reference_cm`` oracle --
+and from the ``symbolic`` engine wherever it declares the kernel
+supported.  Unsupported kernels
 must raise :class:`SymbolicUnsupported` cleanly, never crash or return
 wrong numbers.
 """
@@ -22,13 +23,14 @@ from repro.cache import (
     SymbolicUnsupported,
     generate_trace,
     polyufc_cm,
+    reference_cm,
     symbolic_cm,
 )
 from repro.pipeline import _lower_to_affine
 
 #: Reduced problem size fed to every PolyBench builder parameter: large
 #: enough for multi-line reuse, small enough for the per-access Python
-#: reference engine.
+#: reference oracle.
 SMALL = 8
 
 #: Tiny same-shape stand-ins for the ML registry entries (the registered
@@ -99,7 +101,7 @@ def test_triangular_kernels_no_longer_fall_back(name):
     module = _build(name)
     hierarchy = _hierarchy("SA")
     symbolic = symbolic_cm(module, None, hierarchy)
-    fast = polyufc_cm(generate_trace(module), hierarchy, engine="fast")
+    fast = polyufc_cm(generate_trace(module), hierarchy)
     assert symbolic.counters() == fast.counters()
 
 
@@ -122,9 +124,8 @@ def test_engines_agree(name, kind):
     trace = generate_trace(module)
     assert len(trace) > 0
 
-    fast = polyufc_cm(trace, hierarchy, engine="fast")
-    reference = polyufc_cm(trace, hierarchy, engine="reference")
-    assert fast.counters() == reference.counters()
+    fast = polyufc_cm(trace, hierarchy)
+    assert fast.counters() == reference_cm(trace, hierarchy).counters()
 
     try:
         symbolic = symbolic_cm(module, None, hierarchy)

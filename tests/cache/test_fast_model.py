@@ -1,8 +1,9 @@
 """Equivalence suite for the vectorized CM engine.
 
-The fast engine must be bit-for-bit identical to the reference per-access
-loop: same cold / capacity-conflict counters at every level *and* the same
-write-through next-level stream in the same order.  The randomized cases
+The fast engine must be bit-for-bit identical to the per-access oracle
+(:func:`repro.cache.reference_cm` and its per-level walk): same cold /
+capacity-conflict counters at every level *and* the same write-through
+next-level stream in the same order.  The randomized cases
 sweep ``num_sets``, ``associativity`` and the write mix; the constructed
 cases force each stage of the filtering cascade (including the radix-8
 prefix-counting escalation for huge reuse windows).
@@ -12,11 +13,17 @@ import numpy as np
 import pytest
 
 from repro.benchsuite.polybench import POLYBENCH_BUILDERS
-from repro.cache import CacheHierarchy, CacheLevelConfig, generate_trace, polyufc_cm
+from repro.cache import (
+    CacheHierarchy,
+    CacheLevelConfig,
+    generate_trace,
+    polyufc_cm,
+    reference_cm,
+)
 from repro.cache import fast_model
 from repro.cache.fast_model import le_rank, model_level
 from repro.cache.polyhedral_model import exact_first_level_counts
-from repro.cache.static_model import _model_level, resolve_engine
+from repro.cache.static_model import _reference_level, resolve_engine
 from repro.ir import F64, Module
 from repro.ir.builder import AffineBuilder
 from repro.isllite import LinExpr
@@ -31,7 +38,7 @@ def assert_levels_match(lines, writes, config):
     """Fast and reference agree on counters and the forwarded stream."""
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
-    ref_cold, ref_cc, ref_lines, ref_writes = _model_level(
+    ref_cold, ref_cc, ref_lines, ref_writes = _reference_level(
         lines.tolist(), [bool(w) for w in writes], config
     )
     cold, cc, next_lines, next_writes = model_level(lines, writes, config)
@@ -137,9 +144,7 @@ class TestEngineSwitch:
         module = POLYBENCH_BUILDERS["gemm"](ni=10, nj=8, nk=6)
         trace = generate_trace(module)
         hierarchy = self.small_hier()
-        fast = polyufc_cm(trace, hierarchy, engine="fast")
-        reference = polyufc_cm(trace, hierarchy, engine="reference")
-        assert fast == reference
+        assert polyufc_cm(trace, hierarchy) == reference_cm(trace, hierarchy)
 
     def test_fast_matches_exact_polyhedral_ground_truth(self):
         def tri_module():
@@ -162,9 +167,7 @@ class TestEngineSwitch:
                 exact = exact_first_level_counts(
                     extract_scop(module), hierarchy
                 )
-                cm = polyufc_cm(
-                    generate_trace(module), hierarchy, engine="fast"
-                )
+                cm = polyufc_cm(generate_trace(module), hierarchy)
                 assert exact.accesses == cm.levels[0].accesses
                 assert exact.cold_misses == cm.levels[0].cold_misses
                 assert exact.capacity_conflict_misses == (
@@ -172,12 +175,11 @@ class TestEngineSwitch:
                 )
 
     def test_unknown_engine_rejected(self):
-        module = POLYBENCH_BUILDERS["mvt"](n=5)
-        with pytest.raises(ValueError, match="unknown CM engine"):
-            polyufc_cm(
-                generate_trace(module), self.small_hier(), engine="turbo"
-            )
+        # The per-access oracle is not an engine a caller can select.
+        for name in ("turbo", "reference"):
+            with pytest.raises(ValueError, match="unknown CM engine"):
+                resolve_engine(name)
 
     def test_argument_selects_engine(self):
         assert resolve_engine() == "fast"
-        assert resolve_engine("reference") == "reference"
+        assert resolve_engine("symbolic") == "symbolic"

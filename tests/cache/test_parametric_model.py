@@ -80,7 +80,7 @@ def _trisolv_cm(n):
 
 def _trisolv_fast_cm(n):
     module = POLYBENCH_BUILDERS["trisolv"](n=n)
-    return polyufc_cm(generate_trace(module), HIER, engine="fast")
+    return polyufc_cm(generate_trace(module), HIER)
 
 
 def _fill(artifact, compute, keys, param):

@@ -24,7 +24,12 @@ from repro.cache.simulator import (
     _simulate_level,
     reference_simulate_hierarchy,
 )
-from repro.cache.static_model import SimulatorTail, _model_level, polyufc_cm
+from repro.cache.static_model import (
+    SimulatorTail,
+    _reference_level as _reference_cm_level,
+    polyufc_cm,
+    reference_cm,
+)
 from repro.hw.platform import get_platform
 from repro.ir.core import Buffer, F64
 from tests.cache.test_engine_agreement import ALL_BENCHMARKS, _build
@@ -287,7 +292,7 @@ def assert_shared_path_matches(trace, hierarchy):
     shared = _level_result(model_level(lines, writes, first, stages=stages))
     assert shared == _level_result(model_level(lines, writes, first))
     assert shared == _level_result(
-        _model_level(lines.tolist(), writes.tolist(), first)
+        _reference_cm_level(lines.tolist(), writes.tolist(), first)
     )
     shared = _level_result(_simulate_level(lines, writes, first, stages))
     assert shared == _level_result(_simulate_level(lines, writes, first))
@@ -301,12 +306,9 @@ def assert_shared_path_matches(trace, hierarchy):
         simulate_hierarchy(trace, hierarchy, stages).counters() == reference
     )
     tail = SimulatorTail(hierarchy)
-    cm = polyufc_cm(trace, hierarchy, engine="fast", hardware=tail)
+    cm = polyufc_cm(trace, hierarchy, hardware=tail)
     assert cm.hardware.counters() == reference
-    assert (
-        cm.counters()
-        == polyufc_cm(trace, hierarchy, engine="reference").counters()
-    )
+    assert cm.counters() == reference_cm(trace, hierarchy).counters()
 
 
 class TestSharedClassification:
@@ -345,14 +347,10 @@ class TestSharedClassification:
         trace = synthetic_trace(np.arange(0, 800, 8))
         hierarchy = small_hierarchy(levels=2)
         tail = SimulatorTail(hierarchy)
-        for geometry, engine in (
-            (hierarchy.fully_associative(), "fast"),
-            (hierarchy, "reference"),
-        ):
-            cm = polyufc_cm(trace, geometry, engine=engine, hardware=tail)
-            assert cm.hardware is None
+        cm = polyufc_cm(trace, hierarchy.fully_associative(), hardware=tail)
+        assert cm.hardware is None
         assert tail.seconds == 0.0
-        cm = polyufc_cm(trace, hierarchy, engine="fast", hardware=tail)
+        cm = polyufc_cm(trace, hierarchy, hardware=tail)
         assert cm.hardware is not None and tail.seconds > 0.0
 
     def test_failed_tail_keeps_the_model(self, monkeypatch):
@@ -363,12 +361,9 @@ class TestSharedClassification:
 
         trace = synthetic_trace(np.arange(0, 800, 8), np.arange(100) % 3 == 0)
         hierarchy = small_hierarchy(levels=2)
-        expected = polyufc_cm(trace, hierarchy, engine="fast")
+        expected = polyufc_cm(trace, hierarchy)
         monkeypatch.setattr(static_model, "simulate_hierarchy", broken)
-        cm = polyufc_cm(
-            trace, hierarchy, engine="fast",
-            hardware=SimulatorTail(hierarchy),
-        )
+        cm = polyufc_cm(trace, hierarchy, hardware=SimulatorTail(hierarchy))
         assert cm.hardware is None
         assert cm == expected
 

@@ -77,7 +77,7 @@ class TestEquivalence:
     def test_matches_fast_engine(self, kernel, kwargs, hier_factory):
         module = POLYBENCH_BUILDERS[kernel](**kwargs)
         hier = hier_factory()
-        fast = polyufc_cm(generate_trace(module), hier, engine="fast")
+        fast = polyufc_cm(generate_trace(module), hier)
         symbolic = symbolic_cm(module, None, hier)
         assert symbolic == fast
 
@@ -97,7 +97,7 @@ class TestFallback:
         cm, note = memoized_cm_with_note(module, None, hier, engine="symbolic")
         assert note is not None
         assert note.startswith("symbolic engine fell back to fast:")
-        assert cm == polyufc_cm(generate_trace(module), hier, engine="fast")
+        assert cm == polyufc_cm(generate_trace(module), hier)
 
 
 class TestSupportedThroughMemo:
@@ -106,7 +106,7 @@ class TestSupportedThroughMemo:
         hier = sa_hier()
         cm, note = memoized_cm_with_note(module, None, hier, engine="symbolic")
         assert note is None
-        assert cm == polyufc_cm(generate_trace(module), hier, engine="fast")
+        assert cm == polyufc_cm(generate_trace(module), hier)
 
     def test_note_survives_lru_replay(self):
         module = POLYBENCH_BUILDERS["mvt"](n=17)
@@ -128,21 +128,6 @@ class TestEngineDispatch:
         assert resolve_engine("symbolic") == "symbolic"
         assert resolve_engine("parametric") == "parametric"
         assert resolve_engine() == "fast"
-
-    def test_polyufc_cm_degrades_symbolic_to_fast(self):
-        # With a trace already materialized there is nothing symbolic to
-        # save; polyufc_cm serves the request with the fast engine.
-        module = POLYBENCH_BUILDERS["gemm"](ni=7, nj=11, nk=5)
-        trace = generate_trace(module)
-        hier = sa_hier()
-        assert polyufc_cm(trace, hier, engine="symbolic") == polyufc_cm(
-            trace, hier, engine="fast"
-        )
-
-    def test_polyufc_cm_rejects_unknown_engine(self):
-        module = POLYBENCH_BUILDERS["gemm"](ni=7, nj=11, nk=5)
-        with pytest.raises(ValueError):
-            polyufc_cm(generate_trace(module), sa_hier(), engine="warp-drive")
 
 
 class TestCharacterizationNote:

@@ -39,6 +39,7 @@ from repro.cache import (
     clear_memo,
     generate_trace,
     polyufc_cm,
+    reference_cm,
     symbolic_cm,
 )
 from repro.hw import get_platform
@@ -133,7 +134,7 @@ def test_triangular_is_now_supported_exactly():
     module = _triangular()
     symbolic = symbolic_cm(module, None, HIER)
     trace = generate_trace(module)
-    fast = polyufc_cm(trace, HIER, engine="fast")
+    fast = polyufc_cm(trace, HIER)
     assert symbolic.counters() == fast.counters()
 
 
@@ -164,6 +165,5 @@ def test_reason_surfaces_as_cm_note_on_unit(build, reason):
 def test_fallback_numbers_match_fast_engine(build, reason):
     module = build()
     trace = generate_trace(module)
-    fast = polyufc_cm(trace, HIER, engine="fast")
-    reference = polyufc_cm(trace, HIER, engine="reference")
-    assert fast.counters() == reference.counters()
+    fast = polyufc_cm(trace, HIER)
+    assert fast.counters() == reference_cm(trace, HIER).counters()

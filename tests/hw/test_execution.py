@@ -1,4 +1,4 @@
-"""Tests for the execution model, governor and counters."""
+"""Tests for the execution model and governor."""
 
 import pytest
 
@@ -7,9 +7,7 @@ from repro.hw import (
     KernelWorkload,
     broadwell_sim,
     execute_fixed,
-    papi_measure,
     raptorlake_sim,
-    rapl_measure,
     run_capped_sequence,
     run_governed_sequence,
 )
@@ -241,47 +239,3 @@ class TestCappedSequence:
         high = run_capped_sequence(platform, [(workload, 4.6)] * 10)
         assert low.energy_j < high.energy_j
 
-
-class TestCounters:
-    def _sim_and_run(self, platform):
-        from repro.cache import generate_trace, simulate_hierarchy
-        from repro.benchsuite import get_benchmark
-        from repro.hw import workload_from_sim
-        from repro.poly import extract_scop, tile_and_parallelize
-
-        module = get_benchmark("doitgen").module()
-        tiled, _ = tile_and_parallelize(module)
-        scop = extract_scop(tiled)
-        trace = generate_trace(tiled)
-        sim = simulate_hierarchy(trace, platform.hierarchy)
-        workload = workload_from_sim(
-            "doitgen", scop.total_flops(), sim, True, platform.threads
-        )
-        run = execute_fixed(platform, workload, 2.0)
-        return workload, sim, run
-
-    def test_papi_counters(self):
-        platform = raptorlake_sim()
-        workload, sim, run = self._sim_and_run(platform)
-        counters = papi_measure(workload, sim, run)
-        assert counters.flops == workload.flops
-        assert counters.llc_misses == sim.llc.misses
-        assert counters.dram_bytes == sim.dram_bytes
-        assert counters.gflops > 0
-        assert counters.measured_oi_fpb == pytest.approx(
-            workload.flops / sim.dram_bytes
-        )
-
-    def test_rapl_uncore_zone_availability(self):
-        rpl = raptorlake_sim()
-        workload, _sim, run = self._sim_and_run(rpl)
-        reading = rapl_measure(rpl, workload, run)
-        assert reading.has_uncore_zone
-        assert 0 < reading.uncore_j < reading.package_j
-
-        bdw = broadwell_sim()
-        workload_b, _sim_b, run_b = self._sim_and_run(bdw)
-        reading_b = rapl_measure(bdw, workload_b, run_b)
-        # the paper's footnote 15: no uncore energy zone on BDW
-        assert not reading_b.has_uncore_zone
-        assert reading_b.uncore_j is None

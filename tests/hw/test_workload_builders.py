@@ -1,30 +1,20 @@
 """Tests for the workload construction helpers."""
 
-import numpy as np
 import pytest
 
 from repro.benchsuite.polybench import POLYBENCH_BUILDERS
-from repro.cache import generate_trace, polyufc_cm, simulate_hierarchy
-from repro.hw import (
-    execute_fixed,
-    get_platform,
-    workload_from_model,
-    workload_from_sim,
-)
+from repro.cache import generate_trace, simulate_hierarchy
+from repro.hw import get_platform, workload_from_sim
 
 
 @pytest.fixture(scope="module")
-def artifacts():
+def sim():
     platform = get_platform("rpl")
     module = POLYBENCH_BUILDERS["doitgen"](nq=10, nr=10, np_=10)
-    trace = generate_trace(module)
-    sim = simulate_hierarchy(trace, platform.hierarchy)
-    model = polyufc_cm(trace, platform.hierarchy)
-    return platform, sim, model
+    return simulate_hierarchy(generate_trace(module), platform.hierarchy)
 
 
-def test_workload_from_sim_fields(artifacts):
-    platform, sim, _model = artifacts
+def test_workload_from_sim_fields(sim):
     workload = workload_from_sim("doitgen", 1000, sim, True, 8)
     assert workload.level_accesses == tuple(
         level.accesses for level in sim.levels
@@ -33,29 +23,3 @@ def test_workload_from_sim_fields(artifacts):
     assert workload.dram_writeback_bytes == sim.dram_writeback_bytes
     assert workload.dram_bytes == sim.dram_bytes
     assert workload.parallel and workload.threads == 8
-
-
-def test_workload_from_model_has_no_writebacks(artifacts):
-    _platform, _sim, model = artifacts
-    workload = workload_from_model("doitgen", 1000, model)
-    assert workload.dram_writeback_bytes == 0
-    assert workload.dram_fetch_bytes == model.q_dram_bytes
-    assert workload.dram_lines == model.miss_llc
-
-
-def test_model_workload_runs_through_execution(artifacts):
-    platform, _sim, model = artifacts
-    workload = workload_from_model("doitgen", 500_000, model, True, 8)
-    run = execute_fixed(platform, workload, 2.0)
-    assert run.time_s > 0
-    assert run.energy_j > 0
-
-
-def test_sim_vs_model_workload_oi_close(artifacts):
-    """Write-back vs write-through bookkeeping differ, but OI must land in
-    the same ballpark (the very gap Fig. 6 quantifies)."""
-    _platform, sim, model = artifacts
-    ws = workload_from_sim("d", 1_000_000, sim)
-    wm = workload_from_model("d", 1_000_000, model)
-    ratio = ws.operational_intensity() / wm.operational_intensity()
-    assert 0.4 < ratio < 2.5

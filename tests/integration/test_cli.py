@@ -74,6 +74,31 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("command", ["characterize", "compile", "submit"])
+def test_negative_cm_timeout_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "atax", "--cm-timeout", "-1"])
+    assert exc.value.code == 2
+    assert "--cm-timeout: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characterize", "atax", "--cm-engine", "reference"],
+        ["compile", "atax", "--cm-engine", "reference"],
+        ["submit", "atax", "--cm-engine", "reference"],
+        ["query", "--engine", "reference"],
+    ],
+    ids=["characterize", "compile", "submit", "query"],
+)
+def test_the_reference_oracle_is_no_cm_engine(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'reference'" in capsys.readouterr().err
+
+
 def test_fuzz_smoke(capsys, tmp_path):
     code, out = run_cli(
         capsys, "fuzz", "--time-budget", "2", "--max-cases", "2",
@@ -91,7 +116,6 @@ class TestServiceCLI:
     def service_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         return tmp_path
 
     def test_serve_once_answers_one_request_and_exits(

@@ -41,7 +41,7 @@ def test_empty_iteration_domain_characterizes_compute_bound():
     platform = get_platform("rpl")
     constants = get_constants(platform)
     module = _edge_nest(0, 5)
-    for engine in ("fast", "reference", "symbolic"):
+    for engine in ("fast", "symbolic"):
         clear_memo()
         units = characterize_units(
             module, platform, constants, engine=engine

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.runtime import Deadline, DeadlineExceeded, check, resolve_timeout
+from repro.runtime import Deadline, DeadlineExceeded, check
 
 
 class TestDeadline:
@@ -55,28 +55,3 @@ class TestDeadline:
         else:  # pragma: no cover
             pytest.fail("expected DeadlineExceeded")
 
-
-class TestResolveTimeout:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_TIMEOUT_S", "99")
-        assert resolve_timeout(1.5) == 1.5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_TIMEOUT_S", "2.5")
-        assert resolve_timeout() == 2.5
-
-    def test_unset_env_means_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CM_TIMEOUT_S", raising=False)
-        assert resolve_timeout() is None
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_TIMEOUT_S", "soon")
-        assert resolve_timeout() is None
-
-    def test_negative_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_TIMEOUT_S", "-3")
-        assert resolve_timeout() is None
-
-    def test_zero_env_is_a_real_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_TIMEOUT_S", "0")
-        assert resolve_timeout() == 0.0

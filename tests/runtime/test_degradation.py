@@ -20,8 +20,6 @@ from repro.pipeline import _lower_to_affine
 from repro.poly.transforms import tile_and_parallelize
 from repro.runtime import Deadline, DeadlineExceeded, faults
 
-ENGINES = ["fast", "reference"]
-
 
 @pytest.fixture(scope="module")
 def platform():
@@ -49,19 +47,14 @@ def tiled_gemm(n=64):
 
 
 class TestEngineInterrupts:
-    """Both CM engines honour the deadline at chunk boundaries."""
+    """The CM engine honours the deadline at chunk boundaries."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_expired_deadline_interrupts_cm(self, platform, engine):
+    def test_expired_deadline_interrupts_cm(self, platform):
         trace = generate_trace(tiled_gemm(32))
         with pytest.raises(DeadlineExceeded):
-            polyufc_cm(
-                trace, platform.hierarchy, engine=engine,
-                deadline=Deadline(0.0),
-            )
+            polyufc_cm(trace, platform.hierarchy, deadline=Deadline(0.0))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_slow_chunks_hit_deadline_mid_unit(self, platform, engine):
+    def test_slow_chunks_hit_deadline_mid_unit(self, platform):
         # Each chunk checkpoint sleeps, so a healthy-looking trace takes
         # far longer than the budget -- the checkpoint must fire mid-unit.
         trace = generate_trace(tiled_gemm(32))
@@ -69,8 +62,7 @@ class TestEngineInterrupts:
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 polyufc_cm(
-                    trace, platform.hierarchy, engine=engine,
-                    deadline=Deadline(0.05),
+                    trace, platform.hierarchy, deadline=Deadline(0.05)
                 )
             assert time.monotonic() - start < 2.0
 
@@ -129,17 +121,7 @@ class TestLadder:
     def test_parametric_approx_rung_runs_the_fast_engine(
         self, platform, constants, monkeypatch
     ):
-        from repro.cache import static_model
-
         monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        reference_calls = []
-        reference_level = static_model._model_level
-
-        def spy(lines, writes, config, **kwargs):
-            reference_calls.append(config.name)
-            return reference_level(lines, writes, config, **kwargs)
-
-        monkeypatch.setattr(static_model, "_model_level", spy)
         units = {}
         for engine in ("fast", "parametric"):
             with faults.inject("cm.engine", "fail", arg=1):
@@ -149,7 +131,6 @@ class TestLadder:
         assert [unit.degraded for unit in units["parametric"]] == [
             "approx", "exact"
         ]
-        assert not reference_calls
         assert [unit.cm for unit in units["parametric"]] == [
             unit.cm for unit in units["fast"]
         ]
@@ -162,9 +143,8 @@ class TestLadder:
 
 
 class TestDeadlineAcceptance:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_slow_unit_returns_within_budget_and_caps_fmax(
-        self, platform, constants, monkeypatch, engine
+        self, platform, constants, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CM_MEMO", "0")
         budget = 0.2
@@ -174,7 +154,7 @@ class TestDeadlineAcceptance:
             start = time.monotonic()
             result = polyufc_compile(
                 small_gemm(), platform, constants=constants,
-                cm_timeout_s=budget, cm_engine=engine,
+                cm_timeout_s=budget,
             )
             elapsed = time.monotonic() - start
         assert elapsed < budget + 3.0  # budget + checkpoints + slack

@@ -130,8 +130,8 @@ def test_memo_off_jobs_share_too(spies, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "change", [{"set_associative": False}, {"engine": "reference"}],
-    ids=["fully-associative", "reference-engine"],
+    "change", [{"set_associative": False}, {"engine": "symbolic"}],
+    ids=["fully-associative", "symbolic-engine"],
 )
 def test_other_cm_paths_keep_the_simulator_path(spies, change):
     shared = execute_report(SPEC)
@@ -141,6 +141,21 @@ def test_other_cm_paths_keep_the_simulator_path(spies, change):
     assert spies.tails == 0
     assert spies.hw_sims == len(report.units)
     assert _hw_counters(report) == _hw_counters(shared)
+
+
+def test_fa_job_reuses_the_sa_rows(spies, tmp_path):
+    """The simulator always runs the platform's hierarchy, so a fully-
+    associative job finds its set-associative sibling's stored rows."""
+    store = ResultStore(tmp_path / "store")
+    sa = execute_report(SPEC, store=store)
+    memo.clear_memo()
+    spies.clear()
+    fa = execute_report(
+        dataclasses.replace(SPEC, set_associative=False), store=store
+    )
+    assert spies.tails == 0 and spies.hw_sims == 0
+    assert spies.hw_traces == []
+    assert _hw_counters(fa) == _hw_counters(sa)
 
 
 def test_chunk_fault_mid_unit_degrades_without_a_simulation(

@@ -25,7 +25,7 @@ def test_digest_is_deterministic():
         ("tile_size", 16),
         ("epsilon", 1e-2),
         ("cap_overhead_factor", 10.0),
-        ("engine", "reference"),
+        ("engine", "symbolic"),
     ],
 )
 def test_digest_covers_every_identity_field(field, value):
@@ -46,7 +46,9 @@ def test_workload_digest_shared_across_cap_selection_knobs():
         ("objective", "performance"),
         ("epsilon", 1e-2),
         ("cap_overhead_factor", 1.0),
-        ("engine", "reference"),
+        ("engine", "symbolic"),
+        # The simulator always runs the platform's own hierarchy.
+        ("set_associative", False),
     ]:
         variant = dataclasses.replace(base, **{field: value})
         assert base.workload_digest() == variant.workload_digest()
@@ -57,7 +59,6 @@ def test_workload_digest_shared_across_cap_selection_knobs():
         ("benchmark", "bicg"),
         ("platform", "bdw"),
         ("granularity", "affine"),
-        ("set_associative", False),
         ("tile_size", 16),
     ]:
         variant = dataclasses.replace(base, **{field: value})
@@ -80,7 +81,7 @@ def test_digest_pins_the_resolved_engine():
     assert spec.digest() == dataclasses.replace(spec, engine="fast").digest()
     assert (
         spec.digest()
-        != dataclasses.replace(spec, engine="reference").digest()
+        != dataclasses.replace(spec, engine="symbolic").digest()
     )
 
 
@@ -96,6 +97,8 @@ def test_digest_pins_the_resolved_engine():
         {"benchmark": "atax", "epsilon": 0.0},
         {"benchmark": "atax", "cap_overhead_factor": -1.0},
         {"benchmark": "atax", "cm_timeout_s": -5.0},
+        # The per-access oracle is no engine a job can select.
+        {"benchmark": "atax", "engine": "reference"},
     ],
 )
 def test_validate_rejects_malformed_fields(kwargs):
@@ -131,14 +134,14 @@ def test_type_checks_keep_valid_digests(monkeypatch):
     full = JobSpec.from_json({
         "benchmark": "gemm", "platform": "bdw", "granularity": "affine",
         "objective": "energy", "set_associative": False, "tile_size": 16,
-        "epsilon": 0.01, "cap_overhead_factor": 10, "engine": "reference",
+        "epsilon": 0.01, "cap_overhead_factor": 10, "engine": "symbolic",
         "sizes": {"ni": 40}, "cm_timeout_s": 2,
     })
     assert default.digest() == (
         "9de2d3e01dad0d71a1b57f2b613ff3ded3d218916b63b26d20188f1a85806a8e"
     )
     assert full.digest() == (
-        "24084151cd664dd6366c6ff2f1f59a7ace6055bc57e67882851f924814e69e59"
+        "f0a7c4b35935239cfada0c3b599b81dd4498bbdc7cf2d04d1bd5cc7ba1f0238e"
     )
 
 

@@ -9,7 +9,7 @@ kernel and *shrunk* to a tiny repro (<= 2 loop dims, <= 8 iterations).
 
 from typing import List, Tuple
 
-from repro.cache import generate_trace, polyufc_cm
+from repro.cache import generate_trace, reference_cm
 from repro.cache.config import CacheLevelConfig
 from repro.verify import (
     build_hierarchy,
@@ -79,7 +79,7 @@ def _broken_counters(spec: KernelSpec) -> Tuple[Tuple[int, int], ...]:
 
 def _reference_counters(spec: KernelSpec) -> Tuple[Tuple[int, int], ...]:
     trace = generate_trace(build_module(spec))
-    cm = polyufc_cm(trace, build_hierarchy(spec), engine="reference")
+    cm = reference_cm(trace, build_hierarchy(spec))
     return tuple(
         (level.cold_misses, level.capacity_conflict_misses)
         for level in cm.counters()
