@@ -26,8 +26,9 @@ call sites content-addressed reuse through two in-process LRUs:
   simulation, so a later hit hands it out too.
 
 Both live only as long as the process: results that must outlive it
-belong in the service's ``ResultStore``.  Set ``REPRO_CM_MEMO=0`` to
-disable all reuse (every call recomputes and nothing is kept).
+belong in the service's ``ResultStore``.  Every trace the memo generates
+is bounded by :data:`~repro.cache.trace.TRACE_BUDGET`, and both
+fingerprints fold that budget in, so a key and its generation agree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Optional, Sequence, Tuple
@@ -47,7 +47,12 @@ from repro.cache.static_model import (
     polyufc_cm,
     resolve_engine,
 )
-from repro.cache.trace import LineStream, generate_trace, line_stream
+from repro.cache.trace import (
+    TRACE_BUDGET,
+    LineStream,
+    generate_trace,
+    line_stream,
+)
 from repro.ir.core import Module, Op
 from repro.ir.printer import print_module
 from repro.runtime import Deadline
@@ -64,8 +69,6 @@ log = logging.getLogger("repro.runtime")
 #: and the ``parametric`` engine joined the dispatch.
 MEMO_VERSION = 4
 
-_MEMO_ENV = "REPRO_CM_MEMO"
-
 #: Entries of the CM LRU: every unit of the benchmark registry on both
 #: platforms, set- and fully-associative (81 x 2 x 2), at about 0.5 KB each.
 CM_CAPACITY = 324
@@ -74,10 +77,6 @@ CM_CAPACITY = 324
 #: perfbench's service_mixed (33 streams, 95 MiB) and cold_registry (26,
 #: 72 MiB) fit whole.
 STREAM_BUDGET_BYTES = 256 << 20
-
-
-def memo_enabled() -> bool:
-    return os.environ.get(_MEMO_ENV, "") != "0"
 
 
 class _LRU:
@@ -171,7 +170,7 @@ def _hierarchy_key(hierarchy: CacheHierarchy) -> Tuple:
 def trace_fingerprint(
     module: Module,
     ops: Optional[Sequence[Op]] = None,
-    max_accesses: int = 60_000_000,
+    max_accesses: int = TRACE_BUDGET,
 ) -> str:
     blob = json.dumps(
         [MEMO_VERSION, _ops_blob(module, ops), max_accesses], sort_keys=True
@@ -186,7 +185,6 @@ def unit_fingerprint(
     threads: int = 1,
     parallel: bool = False,
     engine: Optional[str] = None,
-    max_accesses: int = 60_000_000,
 ) -> str:
     """Content digest of a full (ops, params, hierarchy, threads, parallel)
     characterization request."""
@@ -202,7 +200,7 @@ def unit_fingerprint(
             threads,
             parallel,
             engine_name,
-            max_accesses,
+            TRACE_BUDGET,
         ],
         sort_keys=True,
     )
@@ -210,19 +208,15 @@ def unit_fingerprint(
 
 
 def _stream_key(
-    module: Module,
-    ops: Optional[Sequence[Op]],
-    line_bytes: int,
-    max_accesses: int = 60_000_000,
+    module: Module, ops: Optional[Sequence[Op]], line_bytes: int
 ) -> str:
-    return f"{trace_fingerprint(module, ops, max_accesses)}/{line_bytes}"
+    return f"{trace_fingerprint(module, ops, TRACE_BUDGET)}/{line_bytes}"
 
 
 def memoized_stream(
     module: Module,
     ops: Optional[Sequence[Op]],
     line_bytes: int,
-    max_accesses: int = 60_000_000,
     deadline: Optional[Deadline] = None,
 ) -> LineStream:
     """The ops' line stream for ``line_bytes``-byte lines, behind the LRU.
@@ -232,20 +226,17 @@ def memoized_stream(
     generation raises before anything is cached, so the memo never holds
     a partial stream.
     """
-    key = None
-    if memo_enabled():
-        key = _stream_key(module, ops, line_bytes, max_accesses)
-        cached = _stream_lru.get(key)
-        if cached is not None:
-            return cached
+    key = _stream_key(module, ops, line_bytes)
+    cached = _stream_lru.get(key)
+    if cached is not None:
+        return cached
     stream = line_stream(
         generate_trace(
-            module, ops, max_accesses=max_accesses, deadline=deadline
+            module, ops, max_accesses=TRACE_BUDGET, deadline=deadline
         ),
         line_bytes,
     )
-    if key is not None:
-        _stream_lru.put(key, stream)
+    _stream_lru.put(key, stream)
     return stream
 
 
@@ -258,8 +249,6 @@ def lookup_stream(
     caller that only wants to reuse a stream somebody else built (the
     hardware side after the CM stage) cannot pin streams in the LRU.
     """
-    if not memo_enabled():
-        return None
     return _stream_lru.get(_stream_key(module, ops, line_bytes))
 
 
@@ -270,7 +259,6 @@ def _compute_cm(
     threads: int,
     parallel: bool,
     engine_name: str,
-    max_accesses: int,
     deadline: Optional[Deadline],
     hardware: Optional[SimulatorTail],
 ) -> Tuple[CacheModelResult, Optional[str]]:
@@ -307,8 +295,7 @@ def _compute_cm(
                 "trace engine", module.name, exc,
             )
     stream = memoized_stream(
-        module, ops, hierarchy.line_bytes, max_accesses=max_accesses,
-        deadline=deadline,
+        module, ops, hierarchy.line_bytes, deadline=deadline
     )
     cm = polyufc_cm(
         stream, hierarchy, threads=threads, parallel=parallel,
@@ -324,7 +311,6 @@ def memoized_cm_with_note(
     threads: int = 1,
     parallel: bool = False,
     engine: Optional[str] = None,
-    max_accesses: int = 60_000_000,
     deadline: Optional[Deadline] = None,
     hardware: Optional[SimulatorTail] = None,
 ) -> Tuple[CacheModelResult, Optional[str]]:
@@ -343,20 +329,13 @@ def memoized_cm_with_note(
     the cached result with whatever simulation it holds, or none.
     """
     engine_name = resolve_engine(engine)
-    if not memo_enabled():
-        return _compute_cm(
-            module, ops, hierarchy, threads, parallel, engine_name,
-            max_accesses, deadline, hardware,
-        )
-    key = unit_fingerprint(
-        module, ops, hierarchy, threads, parallel, engine, max_accesses
-    )
+    key = unit_fingerprint(module, ops, hierarchy, threads, parallel, engine)
     cached = _cm_lru.get(key)
     if cached is not None:
         return cached
     entry = _compute_cm(
         module, ops, hierarchy, threads, parallel, engine_name,
-        max_accesses, deadline, hardware,
+        deadline, hardware,
     )
     _cm_lru.put(key, entry)
     return entry

@@ -119,10 +119,6 @@ class LevelModelStats:
     def hits(self) -> int:
         return self.accesses - self.misses
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 @dataclass(frozen=True)
 class CacheModelResult:
@@ -154,9 +150,6 @@ class CacheModelResult:
     def q_dram_bytes(self) -> int:
         """Q_DRAM = Miss_LLC * line size (Sec. IV-C)."""
         return self.miss_llc * self.line_bytes
-
-    def miss_ratios(self) -> Tuple[float, ...]:
-        return tuple(level.miss_ratio for level in self.levels)
 
     def counters(self) -> Tuple[LevelCounters, ...]:
         """Per-level engine-comparable counters (see :class:`LevelCounters`)."""

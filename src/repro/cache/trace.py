@@ -47,6 +47,11 @@ from repro.isllite import LinExpr
 from repro.runtime import Deadline, faults
 
 
+#: Accesses one trace may hold: past it :func:`generate_trace` raises
+#: :class:`TraceBudgetExceeded` (and the degradation ladder takes over).
+TRACE_BUDGET = 60_000_000
+
+
 class TraceBudgetExceeded(IRError):
     """The module generates more accesses than the configured cap."""
 
@@ -106,20 +111,6 @@ class AccessTrace:
         byte_addr += self.buffer_bases(line_bytes)[self.buffer_ids]
         byte_addr //= line_bytes
         return byte_addr
-
-    def footprint_bytes(self) -> int:
-        """Total bytes of distinct elements touched.
-
-        One vectorized unique over a combined ``(buffer_id, offset)`` key;
-        per-buffer distinct counts fall out of the unique keys' ids.
-        """
-        if not len(self):
-            return 0
-        span = int(self.offsets.max()) + 1 if len(self) else 1
-        key = self.buffer_ids.astype(np.int64) * span + self.offsets
-        unique_ids = np.unique(key) // span
-        counts = np.bincount(unique_ids, minlength=len(self.buffers))
-        return int(counts @ self.element_sizes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +183,7 @@ def line_stream(
 def generate_trace(
     module: Module,
     ops: Optional[Sequence[Op]] = None,
-    max_accesses: int = 60_000_000,
+    max_accesses: int = TRACE_BUDGET,
     truncate: bool = False,
     deadline: Optional[Deadline] = None,
 ) -> AccessTrace:
@@ -221,7 +212,7 @@ def generate_trace(
 def reference_generate_trace(
     module: Module,
     ops: Optional[Sequence[Op]] = None,
-    max_accesses: int = 60_000_000,
+    max_accesses: int = TRACE_BUDGET,
     truncate: bool = False,
 ) -> AccessTrace:
     """The per-iteration oracle for :func:`generate_trace`.

@@ -20,7 +20,6 @@ and governor comparisons never re-run the expensive trace analyses.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -36,9 +35,9 @@ from repro.mlpolyufc.reports import KernelReport
 
 log = logging.getLogger("repro.runtime")
 
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "") != "1"
+#: How long the reactive baseline of :func:`baseline_comparison` runs:
+#: the kernel sequence is repeated until it lasts about this long.
+BASELINE_RUNTIME_S = 5e-3
 
 
 def kernel_report(
@@ -59,7 +58,7 @@ def kernel_report(
     reports containing degraded units are returned but never persisted
     (store policy), so a transient timeout cannot poison the cache.
     """
-    from repro.service import JobSpec, ResultStore, execute_report
+    from repro.service import JobSpec, execute_report, resolve_store
 
     spec = JobSpec(
         benchmark=benchmark,
@@ -73,7 +72,7 @@ def kernel_report(
         engine=cm_engine,
         cm_timeout_s=cm_timeout_s,
     )
-    store = ResultStore() if _cache_enabled() else None
+    store = resolve_store()
     if store is not None:
         cached = store.get_report(spec.digest())
         if cached is not None:
@@ -106,50 +105,38 @@ class Comparison:
         return self.baseline.edp / self.capped.edp
 
 
-def baseline_comparison(
-    benchmark: str,
-    platform: str,
-    governor: Optional[GovernorConfig] = None,
-    reps: Optional[int] = None,
-    target_runtime_s: float = 5e-3,
-    **report_kwargs,
-) -> Comparison:
+def baseline_comparison(benchmark: str, platform: str) -> Comparison:
     """Run PolyUFC-capped code vs the UFS-like reactive baseline.
 
-    The kernel sequence is repeated ``reps`` times back to back (real
-    measurements run paper-scale kernels whose durations dwarf the per-cap
-    driver overhead; repetitions restore that time scale -- redundant cap
-    calls after the first iteration cost nothing because the rewrite keeps
-    only cap *changes*).  By default ``reps`` is sized so the baseline run
-    lasts about ``target_runtime_s``.
+    The kernel sequence is repeated back to back (real measurements run
+    paper-scale kernels whose durations dwarf the per-cap driver overhead;
+    repetitions restore that time scale -- redundant cap calls after the
+    first iteration cost nothing because the rewrite keeps only cap
+    *changes*), as often as makes the baseline run last about
+    :data:`BASELINE_RUNTIME_S`.
     """
-    report = kernel_report(benchmark, platform, **report_kwargs)
+    report = kernel_report(benchmark, platform)
     plat = get_platform(platform)
     workloads = [unit.workload(plat.threads) for unit in report.units]
-    if reps is None:
-        once = sum(
-            execute_fixed(plat, wl, plat.uncore.f_max_ghz, noisy=False).time_s
-            for wl in workloads
-        )
-        reps = max(1, min(5000, int(round(target_runtime_s / max(once, 1e-9)))))
+    once = sum(
+        execute_fixed(plat, wl, plat.uncore.f_max_ghz, noisy=False).time_s
+        for wl in workloads
+    )
+    reps = max(1, min(5000, int(round(BASELINE_RUNTIME_S / max(once, 1e-9)))))
     sequence = workloads * reps
     caps = [
         (wl, unit.cap_ghz) for wl, unit in zip(workloads, report.units)
     ] * reps
-    baseline = run_governed_sequence(
-        plat, sequence, governor or GovernorConfig()
-    )
+    baseline = run_governed_sequence(plat, sequence, GovernorConfig())
     capped = run_capped_sequence(plat, caps)
     return Comparison(benchmark, plat.name, baseline, capped)
 
 
 def frequency_sweep(
-    benchmark: str,
-    platform: str,
-    **report_kwargs,
+    benchmark: str, platform: str
 ) -> List[Tuple[float, float, float, float]]:
     """(f, time, energy, EDP) of the whole kernel at each fixed cap."""
-    report = kernel_report(benchmark, platform, **report_kwargs)
+    report = kernel_report(benchmark, platform)
     plat = get_platform(platform)
     workloads = [unit.workload(plat.threads) for unit in report.units]
     rows = []

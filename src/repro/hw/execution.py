@@ -20,7 +20,6 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -46,12 +45,6 @@ class KernelWorkload:
     @property
     def dram_bytes(self) -> int:
         return self.dram_fetch_bytes + self.dram_writeback_bytes
-
-    def operational_intensity(self) -> float:
-        """Measured OI: flops per DRAM byte."""
-        if self.dram_bytes == 0:
-            return math.inf
-        return self.flops / self.dram_bytes
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ measurements with noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
@@ -130,9 +130,6 @@ class PlatformSpec:
     def machine_balance_fpb(self) -> float:
         """Time balance B^t_DRAM = peak flops/s over peak DRAM bytes/s."""
         return self.peak_flops_per_sec() / self.dram_bw_max
-
-    def with_overrides(self, **kwargs) -> "PlatformSpec":
-        return replace(self, **kwargs)
 
 
 def broadwell_sim() -> PlatformSpec:

@@ -23,9 +23,9 @@ is exact on the quasi-affine access/iteration sets produced by the PolyUFC
 front end.
 """
 
-from repro.isllite.errors import IslError, SpaceMismatchError, CountBudgetExceeded
+from repro.isllite.errors import IslError, SpaceMismatchError
 from repro.isllite.linexpr import LinExpr
-from repro.isllite.constraint import Constraint, eq, ge, le, gt, lt
+from repro.isllite.constraint import Constraint, eq, ge, le
 from repro.isllite.space import Space, MapSpace
 from repro.isllite.sets import BasicSet, Set
 from repro.isllite.maps import BasicMap, Map
@@ -44,14 +44,11 @@ from repro.isllite.parametric import (
 __all__ = [
     "IslError",
     "SpaceMismatchError",
-    "CountBudgetExceeded",
     "LinExpr",
     "Constraint",
     "eq",
     "ge",
     "le",
-    "gt",
-    "lt",
     "Space",
     "MapSpace",
     "BasicSet",

@@ -128,15 +128,3 @@ def le(lhs, rhs=0) -> Constraint:
     """``lhs <= rhs``."""
     left, right = _pair(lhs, rhs)
     return Constraint(right - left)
-
-
-def gt(lhs, rhs=0) -> Constraint:
-    """``lhs > rhs`` (integer: ``lhs >= rhs + 1``)."""
-    left, right = _pair(lhs, rhs)
-    return Constraint(left - right - 1)
-
-
-def lt(lhs, rhs=0) -> Constraint:
-    """``lhs < rhs`` (integer: ``lhs <= rhs - 1``)."""
-    left, right = _pair(lhs, rhs)
-    return Constraint(right - left - 1)

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.isllite.constraint import Constraint
-from repro.isllite.errors import CountBudgetExceeded, IslError
+from repro.isllite.errors import IslError
 from repro.isllite.sets import BasicSet, Set
 from repro.isllite.space import Space
 from repro.runtime import Deadline, faults
@@ -37,15 +37,13 @@ class CountOptions:
     """Knobs for the counting engine.
 
     ``deadline`` makes exact scans cooperative: an expired deadline mid-
-    scan degrades to the Monte-Carlo estimate (when ``allow_estimate``)
-    instead of finishing the enumeration, or raises
-    :class:`repro.runtime.DeadlineExceeded` otherwise.
+    scan degrades to the Monte-Carlo estimate instead of finishing the
+    enumeration.
     """
 
     budget: int = 2_000_000
     mc_samples: int = 50_000
     seed: int = 0
-    allow_estimate: bool = True
     deadline: Optional[Deadline] = None
 
 
@@ -239,10 +237,6 @@ def _count_basic(
         return total
 
     if _scan_cost_estimate(bset, env) > options.budget:
-        if not options.allow_estimate:
-            raise CountBudgetExceeded(
-                f"scan of {bset.space!r} exceeds budget {options.budget}"
-            )
         return _monte_carlo(bset, env, options)
 
     faults.fire("cm.count")
@@ -258,9 +252,7 @@ def _count_basic(
                 if deadline.expired():
                     # Degrade mid-scan: the Monte-Carlo estimate is cheap
                     # and bounded, the exact scan is not.
-                    if options.allow_estimate:
-                        return _monte_carlo(bset, env, options)
-                    deadline.check("cm.count")
+                    return _monte_carlo(bset, env, options)
     return CountResult(total)
 
 

@@ -9,7 +9,7 @@ hashable; arithmetic returns new expressions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Mapping, Union
 
 Number = Union[int, Fraction]
 
@@ -174,11 +174,3 @@ class LinExpr:
             parts.append(str(self.const))
         text = " + ".join(parts).replace("+ -", "- ")
         return text
-
-
-def sum_exprs(exprs: Iterable[LinExpr]) -> LinExpr:
-    """Sum an iterable of expressions (empty sum is 0)."""
-    total = LinExpr.cst(0)
-    for expr in exprs:
-        total = total + expr
-    return total

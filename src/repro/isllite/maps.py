@@ -92,13 +92,6 @@ class BasicMap:
             )
         return self.add_constraints(bset.constraints)
 
-    def intersect_range(self, bset: BasicSet) -> "BasicMap":
-        if bset.space.dims != self.space.out_dims:
-            raise IslError(
-                f"range space {bset.space!r} does not match {self.space!r}"
-            )
-        return self.add_constraints(bset.constraints)
-
     def fix_params(self, env: Mapping[str, int]) -> "BasicMap":
         remaining = tuple(p for p in self.space.params if p not in env)
         space = MapSpace(self.space.in_dims, self.space.out_dims, remaining)

@@ -79,13 +79,6 @@ class BasicSet:
         space = Space(self.space.dims, remaining)
         return BasicSet(space, [c.partial(env) for c in self.constraints])
 
-    def fix_dim(self, name: str, value: int) -> "BasicSet":
-        """Fix a set dimension to a constant (the dim is removed)."""
-        if name not in self.space.dims:
-            raise IslError(f"{name!r} is not a dim of {self.space!r}")
-        space = self.space.drop_dims([name])
-        return BasicSet(space, [c.partial({name: value}) for c in self.constraints])
-
     def project_out(self, names: Iterable[str]) -> "BasicSet":
         names = list(names)
         for name in names:

@@ -233,7 +233,6 @@ def approximate_cm(
     parallel: bool,
     statements,
     params,
-    max_accesses: int,
     deadline: Optional[Deadline] = None,
 ) -> CacheModelResult:
     """The ladder's middle rung: CM over a truncated trace prefix, scaled.
@@ -244,9 +243,9 @@ def approximate_cm(
     statement domains with a small budget so anything non-trivial takes
     the seeded Monte-Carlo estimate.
     """
-    budget = min(max_accesses, APPROX_TRACE_ACCESSES)
     trace = generate_trace(
-        module, ops, max_accesses=budget, truncate=True, deadline=deadline
+        module, ops, max_accesses=APPROX_TRACE_ACCESSES, truncate=True,
+        deadline=deadline,
     )
     if not len(trace):
         raise DeadlineExceeded(
@@ -268,7 +267,6 @@ def characterize_units(
     constants: RooflineConstants,
     granularity: str = "linalg",
     set_associative: bool = True,
-    max_trace_accesses: int = 60_000_000,
     engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     cm_lookup=None,
@@ -336,7 +334,6 @@ def characterize_units(
                 threads=threads,
                 parallel=parallel,
                 engine=engine,
-                max_accesses=max_trace_accesses,
                 deadline=deadline,
                 hardware=hardware,
             )
@@ -347,8 +344,7 @@ def characterize_units(
             try:
                 cm = approximate_cm(
                     module, ops, hierarchy, threads, parallel,
-                    statements, params, max_trace_accesses,
-                    deadline=deadline,
+                    statements, params, deadline=deadline,
                 )
                 warning = (
                     f"exact CM failed ({failure}); "

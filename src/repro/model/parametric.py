@@ -154,7 +154,7 @@ class PolyUFCModel:
 
     # -- power (Eqn 10) --------------------------------------------------------
 
-    def power_w(self, f_ghz: float, quadratic: bool = False) -> float:
+    def power_w(self, f_ghz: float) -> float:
         """Average total power, CB/BB specialized (Eqn 10).
 
         Three uncore-side terms:
@@ -181,10 +181,6 @@ class PolyUFCModel:
         # itself ~B^t/I, realizing the paper's attenuation factor through the
         # model's own time decomposition (and symmetrically for BB compute).
         active_memory = max(0.0, constants.p_hat_dram_fit(f_ghz) - idle_power)
-        if quadratic and constants.e_byte_quadratic is not None:
-            e_byte = max(constants.e_byte_quadratic(f_ghz), 0.0)
-            byte_rate = self.kernel.q_dram_bytes / time_total
-            active_memory = max(active_memory, byte_rate * e_byte)
         p_fpu = (
             constants.p_hat_fpu
             * self.kernel.cores_fraction
@@ -203,7 +199,7 @@ class PolyUFCModel:
 
     # -- energy / EDP (Eqn 11) --------------------------------------------------
 
-    def energy_j(self, f_ghz: float, quadratic: bool = False) -> float:
+    def energy_j(self, f_ghz: float) -> float:
         """E = E^Omega + E^Q (Eqn 11).
 
         Deviation from the literal Eqn 11: the paper multiplies the average
@@ -214,7 +210,7 @@ class PolyUFCModel:
         ``p_hat_FPU``), which matches the measured energies in the paper's
         own Fig. 1.
         """
-        return self.time_s(f_ghz) * self.power_w(f_ghz, quadratic)
+        return self.time_s(f_ghz) * self.power_w(f_ghz)
 
     def energy_eqn11_j(self, f_ghz: float) -> float:
         """The literal Eqn 11 decomposition (kept for comparison)."""

@@ -71,15 +71,6 @@ class StageTimings:
     polyufc_cm_ms: float = 0.0
     steps_4_6_ms: float = 0.0
 
-    @property
-    def total_ms(self) -> float:
-        return (
-            self.preprocess_ms
-            + self.pluto_ms
-            + self.polyufc_cm_ms
-            + self.steps_4_6_ms
-        )
-
 
 @dataclass
 class PolyUFCResult:

@@ -30,13 +30,6 @@ class AccessRef:
     indices: Tuple[LinExpr, ...]
     is_write: bool
 
-    def linear_offset(self, env: Dict[str, int]) -> int:
-        """Row-major element offset under a concrete iteration point."""
-        offset = 0
-        for expr, stride in zip(self.indices, self.buffer.strides()):
-            offset += expr.evaluate_int(env) * stride
-        return offset
-
 
 @dataclass
 class Statement:
@@ -70,12 +63,6 @@ class Statement:
 
     def total_flops(self, params: Dict[str, int]) -> int:
         return self.flops_per_point * self.domain_size(params)
-
-    def parallel_dims(self) -> Tuple[int, ...]:
-        """Indices of enclosing loops marked parallel."""
-        return tuple(
-            index for index, loop in enumerate(self.loops) if loop.parallel
-        )
 
 
 @dataclass

@@ -32,6 +32,8 @@ from repro.poly.dependences import (
 from repro.poly.scop import extract_scop
 
 DEFAULT_TILE_SIZE = 32
+#: A nest whose tilable band is shallower than this is left untiled.
+MIN_TILE_DEPTH = 2
 
 
 @dataclass
@@ -49,15 +51,12 @@ class TileInfo:
 def tile_and_parallelize(
     module: Module,
     tile_size: int = DEFAULT_TILE_SIZE,
-    parallelize: bool = True,
-    min_tile_depth: int = 2,
-    min_trip_count: int = 2,
 ) -> Tuple[Module, List[TileInfo]]:
     """Tile and parallelize every top-level affine nest of ``module``.
 
     Returns the transformed module (buffers shared, loop bodies shared) and
     per-nest :class:`TileInfo` records.  Nests whose permutable band is
-    shallower than ``min_tile_depth`` are left untiled but still
+    shallower than ``MIN_TILE_DEPTH`` are left untiled but still
     parallelized when legal.
     """
     if tile_size < 2:
@@ -74,15 +73,14 @@ def tile_and_parallelize(
         tilable = permutable_prefix_depth(deps, len(band))
         tilable = _restrict_to_rectangular(band, tilable, module.params)
         tilable = _restrict_to_profitable(
-            band, tilable, module.params, tile_size, min_trip_count
+            band, tilable, module.params, tile_size
         )
         parallel_dim = None
-        if parallelize:
-            for dim in range(len(band)):
-                if is_parallel_dim(deps, dim):
-                    parallel_dim = dim
-                    break
-        if tilable >= min_tile_depth:
+        for dim in range(len(band)):
+            if is_parallel_dim(deps, dim):
+                parallel_dim = dim
+                break
+        if tilable >= MIN_TILE_DEPTH:
             new_root = _tile_band(
                 band, tilable, tile_size, module.params, parallel_dim
             )
@@ -134,13 +132,12 @@ def _restrict_to_profitable(
     depth: int,
     params: Dict[str, int],
     tile_size: int,
-    min_trip_count: int,
 ) -> int:
-    """Do not tile dims whose trip count is not meaningfully larger than the
-    tile size (Pluto skips tiny loops too)."""
+    """Do not tile dims whose trip count is smaller than the tile size
+    (Pluto skips tiny loops too)."""
     usable = 0
     for loop in band[:depth]:
-        if loop.trip_count(dict(params)) < max(min_trip_count, tile_size):
+        if loop.trip_count(dict(params)) < tile_size:
             break
         usable += 1
     return usable

@@ -13,7 +13,7 @@ as small fit objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -32,24 +32,6 @@ class LinearFit:
     def fit(freqs: Sequence[float], values: Sequence[float]) -> "LinearFit":
         alpha, gamma = np.polyfit(np.asarray(freqs), np.asarray(values), 1)
         return LinearFit(float(alpha), float(gamma))
-
-
-@dataclass(frozen=True)
-class QuadraticFit:
-    """``value(f) = a*f^2 + b*f + c`` (the paper notes quadratic fits reduce
-    power-prediction error; provided as the optional higher-accuracy mode)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __call__(self, f_ghz: float) -> float:
-        return self.a * f_ghz**2 + self.b * f_ghz + self.c
-
-    @staticmethod
-    def fit(freqs: Sequence[float], values: Sequence[float]) -> "QuadraticFit":
-        a, b, c = np.polyfit(np.asarray(freqs), np.asarray(values), 2)
-        return QuadraticFit(float(a), float(b), float(c))
 
 
 @dataclass(frozen=True)
@@ -100,7 +82,6 @@ class RooflineConstants:
     #: (The literal Eqn 2 is additive, i.e. overlap_rho = 1; the calibrated
     #: combiner matches machines that overlap memory with compute.)
     overlap_rho: float = 1.0
-    e_byte_quadratic: Optional[QuadraticFit] = None
 
     @property
     def peak_flops(self) -> float:

@@ -21,12 +21,7 @@ from typing import List, Sequence, Tuple
 
 from repro.hw.execution import KernelWorkload, RunResult, execute_fixed
 from repro.hw.platform import PlatformSpec
-from repro.roofline.constants import (
-    InverseFit,
-    LinearFit,
-    QuadraticFit,
-    RooflineConstants,
-)
+from repro.roofline.constants import InverseFit, LinearFit, RooflineConstants
 
 #: Iterations per PAPI-style measurement (the paper uses 2^10 per event).
 DEFAULT_REPS = 5
@@ -188,7 +183,6 @@ def calibrate_platform(
     dram_bw_fit = LinearFit.fit(*zip(*rising))
     t_byte = 1.0 / bw_peak
     e_byte_fit = LinearFit.fit(*zip(*e_byte_points))
-    e_byte_quad = QuadraticFit.fit(*zip(*e_byte_points))
     p_hat_dram_fit = LinearFit.fit(*zip(*p_mem_points))
 
     # --- latency fit: M^t(f) = a/f + b --------------------------------------
@@ -247,5 +241,4 @@ def calibrate_platform(
         dram_bw_peak=bw_peak,
         line_bytes=line,
         overlap_rho=overlap_rho,
-        e_byte_quadratic=e_byte_quad,
     )

@@ -29,6 +29,9 @@ from repro.model.parametric import PolyUFCModel
 
 OBJECTIVES = ("edp", "energy", "performance")
 
+#: Probe pairs the binary search may spend before it stops unconverged.
+MAX_ITERATIONS = 64
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -36,7 +39,6 @@ class SearchConfig:
 
     objective: str = "edp"
     epsilon: float = 1e-3
-    max_iterations: int = 64
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -105,7 +107,7 @@ def polyufc_search(
     # --- phase 1: binary search over the frequency grid ----------------------
     lo, hi = 0, len(freqs) - 1
     iterations = 0
-    while hi - lo > 1 and iterations < config.max_iterations:
+    while hi - lo > 1 and iterations < MAX_ITERATIONS:
         iterations += 1
         mid = (lo + hi) // 2
         here = objective_of(evaluate(freqs[mid]))
@@ -118,7 +120,7 @@ def polyufc_search(
     best = min(candidates, key=objective_of)
 
     # --- phase 2: epsilon-guided directional refinement ----------------------
-    converged = iterations < config.max_iterations
+    converged = iterations < MAX_ITERATIONS
     index = freqs.index(best.f_ghz)
 
     def ratio(num: float, den: float) -> float:

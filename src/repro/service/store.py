@@ -43,7 +43,7 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.cache.parametric_model import (
     FamilyFitError,
@@ -61,6 +61,14 @@ from repro.runtime import (
 from repro.service.spec import JobSpec
 
 log = logging.getLogger("repro.runtime")
+
+T = TypeVar("T")
+
+#: Counters every hardware-side workload row must carry.
+_WORKLOAD_KEYS = (
+    "name", "level_accesses", "dram_fetch_bytes",
+    "dram_writeback_bytes", "dram_lines",
+)
 
 
 def store_root() -> Path:
@@ -91,6 +99,16 @@ def _index_row(
         "cm_notes": len(report.noted_units),
         "created_at": created_at,
     }
+
+
+def _workload_units(payload: dict) -> List[dict]:
+    units = payload["units"]
+    if not isinstance(units, list) or not all(
+        isinstance(unit, dict) and all(key in unit for key in _WORKLOAD_KEYS)
+        for unit in units
+    ):
+        raise ReportSchemaError("workload units lack hardware counters")
+    return units
 
 
 class ResultStore:
@@ -143,98 +161,34 @@ class ResultStore:
                 spec.label(), ",".join(report.degraded_units),
             )
             return None
-        digest = spec.digest()
-        path = self.report_path(digest)
         payload = {"spec": spec.to_json(), "report": report.to_json()}
-        try:
-            atomic_write_json(path, payload, fault_site="report.write")
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning(
-                "store write of %s failed (%s); continuing", path.name, exc
-            )
-            return None
-        return path
+        return self._write(
+            "report", self.report_path(spec.digest()), payload
+        )
 
     def get_report(self, digest: str) -> Optional[KernelReport]:
         """Fetch a stored report, or ``None`` (missing / quarantined)."""
-        path = self.report_path(digest)
-        try:
-            payload = read_checked_json(
-                path,
-                fault_site="report.read",
-                required_keys=("spec", "report"),
-            )
-        except FileNotFoundError:
-            return None
-        except CacheCorruption:
-            return None  # quarantined + logged by the envelope reader
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning(
-                "store read of %s kept failing (%s); recomputing",
-                path.name, exc,
-            )
-            return None
-        try:
-            return KernelReport.from_json(payload["report"])
-        except ReportSchemaError as exc:
-            log.warning("store entry %s has drifted schema (%s)", path, exc)
-            quarantine_file(path)
-            return None
-
-    def has_report(self, digest: str) -> bool:
-        return self.report_path(digest).exists()
+        return self._read(
+            "report", self.report_path(digest), ("spec", "report"),
+            lambda payload: KernelReport.from_json(payload["report"]),
+        )
 
     # -- workloads -----------------------------------------------------
 
-    _WORKLOAD_KEYS = (
-        "name", "level_accesses", "dram_fetch_bytes",
-        "dram_writeback_bytes", "dram_lines",
-    )
-
     def put_workload(self, digest: str, units: List[dict]) -> Optional[Path]:
         """Persist the hardware-side counters of one tiled module."""
-        path = self.workload_path(digest)
-        try:
-            atomic_write_json(
-                path, {"units": units}, fault_site="report.write"
-            )
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning(
-                "workload write of %s failed (%s); continuing",
-                path.name, exc,
-            )
-            return None
-        return path
+        return self._write(
+            "workload", self.workload_path(digest), {"units": units}
+        )
 
     def has_workload(self, digest: str) -> bool:
         return self.workload_path(digest).exists()
 
     def get_workload(self, digest: str) -> Optional[List[dict]]:
-        path = self.workload_path(digest)
-        try:
-            payload = read_checked_json(
-                path, fault_site="report.read", required_keys=("units",)
-            )
-        except FileNotFoundError:
-            return None
-        except CacheCorruption:
-            return None
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning(
-                "workload read of %s kept failing (%s); recomputing",
-                path.name, exc,
-            )
-            return None
-        units = payload["units"]
-        if not isinstance(units, list) or not all(
-            isinstance(unit, dict)
-            and all(key in unit for key in self._WORKLOAD_KEYS)
-            for unit in units
-        ):
-            log.warning("workload entry %s has drifted schema", path)
-            quarantine_file(path)
-            return None
-        return units
+        return self._read(
+            "workload", self.workload_path(digest), ("units",),
+            _workload_units,
+        )
 
     # -- parametric kernel families ------------------------------------
 
@@ -249,43 +203,63 @@ class ResultStore:
         persisted vector is engine-agreed ground truth; this method just
         writes the artifact under the usual hardened envelope.
         """
-        path = self.family_path(digest)
-        try:
-            atomic_write_json(
-                path, {"family": artifact.to_json()},
-                fault_site="report.write",
-            )
-        except (TransientIOError, EngineFailure) as exc:
-            log.warning(
-                "family write of %s failed (%s); continuing",
-                path.name, exc,
-            )
-            return None
-        return path
+        return self._write(
+            "family", self.family_path(digest),
+            {"family": artifact.to_json()},
+        )
 
     def get_family(
         self, digest: str
     ) -> Optional[ParametricCharacterization]:
         """Fetch a family artifact, or ``None`` (missing / quarantined)."""
-        path = self.family_path(digest)
+        return self._read(
+            "family", self.family_path(digest), ("family",),
+            lambda payload: ParametricCharacterization.from_json(
+                payload["family"]
+            ),
+        )
+
+    # -- one write path and one read path for every object kind --------
+
+    def _write(self, kind: str, path: Path, payload: dict) -> Optional[Path]:
+        """Publish one object; ``None`` when the write kept failing
+        (callers lose caching, not results)."""
         try:
-            payload = read_checked_json(
-                path, fault_site="report.read", required_keys=("family",)
-            )
-        except FileNotFoundError:
-            return None
-        except CacheCorruption:
-            return None  # quarantined + logged by the envelope reader
+            atomic_write_json(path, payload, fault_site="report.write")
         except (TransientIOError, EngineFailure) as exc:
             log.warning(
-                "family read of %s kept failing (%s); recomputing",
-                path.name, exc,
+                "%s write of %s failed (%s); continuing", kind, path.name, exc
+            )
+            return None
+        return path
+
+    def _read(
+        self,
+        kind: str,
+        path: Path,
+        required_keys: Sequence[str],
+        parse: Callable[[dict], T],
+    ) -> Optional[T]:
+        """``parse`` of one object's payload, or ``None``: missing,
+        corrupt (quarantined and logged by the envelope reader), still
+        failing after the retries, or drifted from the schema ``parse``
+        expects (quarantined here)."""
+        try:
+            payload = read_checked_json(
+                path, fault_site="report.read", required_keys=required_keys
+            )
+        except (FileNotFoundError, CacheCorruption):
+            return None
+        except (TransientIOError, EngineFailure) as exc:
+            log.warning(
+                "%s read of %s kept failing (%s); recomputing",
+                kind, path.name, exc,
             )
             return None
         try:
-            return ParametricCharacterization.from_json(payload["family"])
-        except FamilyFitError as exc:
-            log.warning("family entry %s has drifted schema (%s)", path, exc)
+            return parse(payload)
+        except (ReportSchemaError, FamilyFitError) as exc:
+            log.warning("%s entry %s has drifted schema (%s)", kind, path, exc)
             quarantine_file(path)
             return None
 

@@ -101,12 +101,6 @@ class TestInProcessMemo:
         direct = polyufc_cm(generate_trace(mod), hier())
         assert memo_cm(mod, None, hier()) == direct
 
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        memo_cm(module(), None, hier())
-        memo_cm(module(), None, hier())
-        assert _cm_lru.hits == 0 and _cm_lru.misses == 0
-
     def test_distinct_requests_not_conflated(self):
         serial = memo_cm(module(), None, hier())
         threaded = memo_cm(
@@ -175,14 +169,6 @@ class TestStreamMemo:
             memo_cm(module(), None, hier(), deadline=Deadline(0))
         assert not _stream_lru._data and _stream_lru.weight == 0
         assert not _cm_lru._data
-
-    def test_disabled_by_env_keeps_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        stream = memoized_stream(module(), None, 64)
-        assert memo_cm(module(), None, hier()).total_accesses == len(stream)
-        assert memo.lookup_stream(module(), None, 64) is None
-        assert not _stream_lru._data and _stream_lru.weight == 0
-        assert _stream_lru.hits == 0 and _stream_lru.misses == 0
 
 
 class TestLruBounds:

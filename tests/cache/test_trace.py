@@ -49,11 +49,6 @@ def test_line_ids_buffer_separation():
     assert len(a_lines) == 1  # 16 f32 = 64 bytes = one line
 
 
-def test_footprint():
-    trace = generate_trace(stream_module(16))
-    assert trace.footprint_bytes() == 2 * 16 * 4
-
-
 def test_matmul_trace_length():
     module = Module("mm")
     n = 6
@@ -191,34 +186,6 @@ def test_scalar_and_rect_chunks_interleave_in_program_order():
         for i in range(n)
         for off in [i] + [i * n + j for j in range(n)]
     ]
-
-
-def test_footprint_matches_per_buffer_unique():
-    module = Module("mm")
-    n = 7
-    a = module.add_buffer("A", (n, n), F32)
-    b = module.add_buffer("B", (n, n), F32)
-    c = module.add_buffer("C", (n, n), F64)
-    module.append(FillOp(c, 0.0))
-    module.append(MatmulOp(a, b, c))
-    trace = generate_trace(lower_linalg_to_affine(module))
-    expected = 0
-    for index, buffer in enumerate(trace.buffers):
-        mask = trace.buffer_ids == index
-        if mask.any():
-            expected += (
-                np.unique(trace.offsets[mask]).size * buffer.dtype.size_bytes
-            )
-    assert trace.footprint_bytes() == expected
-
-
-def test_footprint_empty_trace():
-    module = Module("empty")
-    module.add_buffer("A", (4,), F32)
-    builder = AffineBuilder(module)
-    with builder.loop("i", 0, 0):
-        pass
-    assert generate_trace(module).footprint_bytes() == 0
 
 
 # -- bit-for-bit against the per-iteration reference walker ----------------

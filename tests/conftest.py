@@ -18,3 +18,16 @@ def session_store(tmp_path_factory):
             "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
         )
         yield
+
+
+@pytest.fixture()
+def no_memo(monkeypatch):
+    """Empty the in-process memo and bound both its LRUs at zero, so
+    every CM and line stream is recomputed and none is kept.  Emptying
+    matters: a zero bound alone still serves what earlier tests stored.
+    """
+    from repro.cache import memo
+
+    memo.clear_memo()
+    monkeypatch.setattr(memo, "CM_CAPACITY", 0)
+    monkeypatch.setattr(memo, "STREAM_BUDGET_BYTES", 0)

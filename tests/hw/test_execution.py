@@ -107,11 +107,6 @@ class TestExecuteFixed:
         t_parallel = compute_time_s(platform, parallel)
         assert t_serial == pytest.approx(t_parallel * platform.cores)
 
-    def test_oi_property(self):
-        assert bb_workload().operational_intensity() < 1
-        no_traffic = KernelWorkload("x", 10, (0,), 0, 0, 0)
-        assert no_traffic.operational_intensity() == float("inf")
-
 
 #: ``(memory_time_s, uncore_time_s)`` per (platform, workload, uncore GHz,
 #: prefetch) at f_min, a middle cap and f_max.  Frozen values: a change to

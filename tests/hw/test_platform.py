@@ -93,11 +93,6 @@ class TestPlatformLaws:
         assert not broadwell_sim().has_uncore_rapl
         assert raptorlake_sim().has_uncore_rapl
 
-    def test_with_overrides(self):
-        platform = raptorlake_sim().with_overrides(cores=4)
-        assert platform.cores == 4
-        assert raptorlake_sim().cores == 14
-
     def test_peak_flops_cores_used(self):
         platform = raptorlake_sim()
         assert platform.peak_flops_per_sec(7) == pytest.approx(

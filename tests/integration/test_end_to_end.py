@@ -74,7 +74,6 @@ class TestFullFlow:
     def test_compile_timings_recorded(self, platform, constants):
         result = polyufc_compile(small_gemm(), platform, constants=constants)
         assert result.timings.polyufc_cm_ms > 0
-        assert result.timings.total_ms >= result.timings.polyufc_cm_ms
 
     def test_deterministic_compilation(self, platform, constants):
         first = polyufc_compile(small_gemm(), platform, constants=constants)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.isllite import (
     BasicSet,
-    CountBudgetExceeded,
     CountOptions,
     IslError,
     LinExpr,
@@ -148,16 +147,6 @@ def test_monte_carlo_fallback_estimates():
     )
     assert not estimate.exact
     assert math.isclose(estimate.value, exact, rel_tol=0.1)
-
-
-def test_budget_exceeded_raises_when_estimates_disallowed():
-    space = Space(("i", "j"))
-    s = BasicSet(
-        space,
-        [ge(v("i"), 0), le(v("i"), 9999), ge(v("j"), v("i")), le(v("j"), 9999)],
-    )
-    with pytest.raises(CountBudgetExceeded):
-        count_points(s, options=CountOptions(budget=10, allow_estimate=False))
 
 
 def test_unbounded_counting_raises():

@@ -4,7 +4,6 @@ import pytest
 from fractions import Fraction
 
 from repro.isllite import LinExpr
-from repro.isllite.linexpr import sum_exprs
 
 
 def test_var_and_cst():
@@ -112,13 +111,6 @@ def test_rejects_non_integral_coefficients():
 
 def test_float_integral_coefficient_accepted():
     assert LinExpr.cst(2.0).const == 2
-
-
-def test_sum_exprs():
-    total = sum_exprs([LinExpr.var("i"), LinExpr.var("i"), LinExpr.cst(1)])
-    assert total.coeff("i") == 2
-    assert total.const == 1
-    assert sum_exprs([]) == LinExpr.cst(0)
 
 
 def test_coerce():

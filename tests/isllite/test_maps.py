@@ -52,12 +52,6 @@ class TestBasicMap:
         with pytest.raises(IslError):
             affine_map().intersect_domain(wrong)
 
-    def test_intersect_range(self):
-        bound = BasicSet.from_box(Space(("o",)), {"o": (0, 3)})
-        m = affine_map(2).intersect_range(bound)
-        assert m.contains((1,), (2,))
-        assert not m.contains((3,), (6,))
-
     def test_apply_range_composition(self):
         # o = 2i + 1 then y = x + 10  =>  y = 2i + 11
         composed = affine_map(2, 1).apply_range(

@@ -101,11 +101,6 @@ class TestBasicSet:
             (i,) for i in range(5, 10)
         ]
 
-    def test_fix_dim(self):
-        t = triangle(4).fix_dim("i", 2)
-        assert t.space.dims == ("j",)
-        assert list(t.enumerate_points()) == [(2,), (3,)]
-
     def test_fix_params(self):
         space = Space(("i",), params=("n", "m"))
         b = BasicSet(space, [ge(v("i"), v("m")), le(v("i"), v("n"))])

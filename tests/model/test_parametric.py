@@ -159,10 +159,3 @@ class TestPowerEnergy:
         assert est.memory_time_s <= est.time_s / max(
             1 - constants.overlap_rho, 1e-6
         )
-
-    def test_quadratic_power_variant(self, constants):
-        model = PolyUFCModel(constants, bb_kernel(constants))
-        linear = model.power_w(3.0, quadratic=False)
-        quad = model.power_w(3.0, quadratic=True)
-        # both sane; quadratic fit is an alternative estimate, same ballpark
-        assert 0.5 < quad / linear < 2.0

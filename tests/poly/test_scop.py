@@ -80,13 +80,6 @@ def test_imperfect_nest_statements():
     assert init.schedule_prefix < body.schedule_prefix
 
 
-def test_linear_offset():
-    scop = extract_scop(matmul_module(8))
-    access = scop.statements[1].accesses[0]  # A[i, k]
-    env = dict(zip(scop.statements[1].loop_names, (2, 3, 4)))
-    assert access.linear_offset(env) == 2 * 8 + 4  # A[i=2, k=4]
-
-
 def test_parametric_bounds():
     module = Module("param")
     module.set_param("n", 12)
@@ -119,7 +112,7 @@ def test_nonunit_step_rejected():
         extract_scop(module)
 
 
-def test_parallel_dims_recorded():
+def test_parallel_loops_recorded():
     module = Module("par")
     a = module.add_buffer("A", (8, 8), F32)
     builder = AffineBuilder(module)
@@ -127,4 +120,6 @@ def test_parallel_dims_recorded():
         with builder.loop("j", 0, 8):
             builder.store(builder.const(0.0), a, ["i", "j"])
     scop = extract_scop(module)
-    assert scop.statements[0].parallel_dims() == (0,)
+    assert [loop.parallel for loop in scop.statements[0].loops] == [
+        True, False
+    ]

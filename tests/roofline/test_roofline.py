@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.hw import broadwell_sim, raptorlake_sim
@@ -15,7 +14,6 @@ from repro.roofline import (
     characterize,
     power_ceiling,
 )
-from repro.roofline.constants import QuadraticFit
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +39,6 @@ class TestFits:
         fit = InverseFit.fit(freqs, values)
         assert fit.a == pytest.approx(3.0)
         assert fit.b == pytest.approx(0.5)
-
-    def test_quadratic_fit_roundtrip(self):
-        freqs = np.linspace(1, 4, 6)
-        values = 2 * freqs**2 - freqs + 1
-        fit = QuadraticFit.fit(freqs, values)
-        assert fit(2.5) == pytest.approx(2 * 2.5**2 - 2.5 + 1, rel=1e-6)
 
 
 class TestCalibration:

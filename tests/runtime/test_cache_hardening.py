@@ -179,7 +179,7 @@ class TestMemoHardening:
         )
         return module, hierarchy
 
-    def test_concurrent_memoized_cm_writers(self, monkeypatch):
+    def test_concurrent_memoized_cm_writers(self):
         from repro.cache.memo import (
             _cm_lru,
             _stream_lru,
@@ -187,7 +187,6 @@ class TestMemoHardening:
             memoized_cm_with_note,
         )
 
-        monkeypatch.setenv("REPRO_CM_MEMO", "1")
         module, hierarchy = self.small_inputs()
         results = [None] * 6
         barrier = threading.Barrier(6)

@@ -12,10 +12,13 @@ import time
 import pytest
 
 from repro import get_constants, get_platform, polyufc_compile
-from repro.cache import generate_trace, polyufc_cm
+from repro.cache import generate_trace, memo, polyufc_cm
 from repro.ir import F32, Module
 from repro.ir.dialects.linalg import FillOp, MatmulOp
-from repro.mlpolyufc.characterization import characterize_units
+from repro.mlpolyufc.characterization import (
+    APPROX_TRACE_ACCESSES,
+    characterize_units,
+)
 from repro.pipeline import _lower_to_affine
 from repro.poly.transforms import tile_and_parallelize
 from repro.runtime import Deadline, DeadlineExceeded, faults
@@ -79,12 +82,10 @@ class TestEngineInterrupts:
 
 class TestLadder:
     def test_trace_budget_overflow_degrades_to_approx(
-        self, platform, constants, monkeypatch
+        self, platform, constants, monkeypatch, no_memo
     ):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        units = characterize_units(
-            tiled_gemm(), platform, constants, max_trace_accesses=2_000
-        )
+        monkeypatch.setattr(memo, "TRACE_BUDGET", 2_000)
+        units = characterize_units(tiled_gemm(), platform, constants)
         degraded = {unit.name: unit.degraded for unit in units}
         assert any(rung == "approx" for rung in degraded.values()), degraded
         for unit in units:
@@ -94,22 +95,19 @@ class TestLadder:
                 assert unit.cm.total_accesses > 0
 
     def test_approx_counters_are_scaled_to_full_size(
-        self, platform, constants, monkeypatch
+        self, platform, constants, monkeypatch, no_memo
     ):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
-        units = characterize_units(
-            tiled_gemm(), platform, constants, max_trace_accesses=2_000
-        )
+        monkeypatch.setattr(memo, "TRACE_BUDGET", 2_000)
+        units = characterize_units(tiled_gemm(), platform, constants)
         matmul = units[-1]
         assert matmul.degraded == "approx"
         # gemm(64) makes ~1M accesses; the scaled estimate must be well
-        # beyond the 2k trace prefix the rung actually evaluated.
-        assert matmul.cm.total_accesses > 50_000
+        # beyond the trace prefix the rung actually evaluated.
+        assert matmul.cm.total_accesses > 5 * APPROX_TRACE_ACCESSES
 
     def test_transient_engine_failure_degrades_one_unit(
-        self, platform, constants, monkeypatch
+        self, platform, constants, no_memo
     ):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
         with faults.inject("cm.engine", "fail", arg=1):
             result = polyufc_compile(
                 small_gemm(), platform, constants=constants
@@ -119,9 +117,8 @@ class TestLadder:
         assert "injected engine fault" in result.units[0].warning
 
     def test_parametric_approx_rung_runs_the_fast_engine(
-        self, platform, constants, monkeypatch
+        self, platform, constants, no_memo
     ):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
         units = {}
         for engine in ("fast", "parametric"):
             with faults.inject("cm.engine", "fail", arg=1):
@@ -144,9 +141,8 @@ class TestLadder:
 
 class TestDeadlineAcceptance:
     def test_slow_unit_returns_within_budget_and_caps_fmax(
-        self, platform, constants, monkeypatch
+        self, platform, constants, no_memo
     ):
-        monkeypatch.setenv("REPRO_CM_MEMO", "0")
         budget = 0.2
         # ~256 checkpoints would fire on the exact path at 0.05s each
         # (>10x the budget); the deadline must cut that short.

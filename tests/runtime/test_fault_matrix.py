@@ -9,7 +9,6 @@ come back with units either exact or visibly degraded; nothing raises.
 
 import pytest
 
-from repro.cache.memo import clear_memo
 from repro.runtime.faults import KNOWN_SITES
 
 # Memoization stays off so the engines recompute and fire on both passes.
@@ -42,13 +41,11 @@ def test_every_site_is_covered():
     ids=[f"{site}:{kind.split(':')[0]}" for site, kind in CASES],
 )
 def test_armed_fault_never_crashes_kernel_report(
-    tmp_path, monkeypatch, site, kind
+    tmp_path, monkeypatch, no_memo, site, kind
 ):
     from repro.experiments import kernel_report
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "reports"))
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
-    clear_memo()
     monkeypatch.setenv("REPRO_FAULTS", f"{site}:{kind}")
 
     cold = kernel_report("doitgen", "rpl", cm_timeout_s=5.0)
@@ -63,13 +60,13 @@ def test_armed_fault_never_crashes_kernel_report(
         assert all(cap > 0 for cap in report.caps())
 
 
-def test_hard_engine_fault_is_visible_in_unit_metadata(tmp_path, monkeypatch):
+def test_hard_engine_fault_is_visible_in_unit_metadata(
+    tmp_path, monkeypatch, no_memo
+):
     from repro.experiments import kernel_report
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
     monkeypatch.setenv("REPRO_FAULTS", "cm.engine:fail")
-    clear_memo()
     report = kernel_report("doitgen", "rpl")
     assert report.degraded_units  # every unit lost its exact rung
     assert not report.fully_exact

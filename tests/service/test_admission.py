@@ -40,12 +40,8 @@ def assert_terminal_invariant(sink):
 
 
 def test_overload_sheds_to_timeout_cap_and_never_persists(
-    tmp_path, sink, monkeypatch
+    tmp_path, sink, no_memo
 ):
-    from repro.cache.memo import clear_memo
-
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
-    clear_memo()
     store = ResultStore(tmp_path / "store")
     # max_pending=0: every primary job sheds -- deterministic overload.
     sched = Scheduler(store=store, sink=sink, max_pending=0)
@@ -92,12 +88,8 @@ def test_store_hit_beats_shedding(tmp_path, sink):
     assert_terminal_invariant(sink)
 
 
-def test_every_job_past_the_bound_is_shed_none_refused(sink, monkeypatch):
-    from repro.cache.memo import clear_memo
-
+def test_every_job_past_the_bound_is_shed_none_refused(sink, no_memo):
     # No memo hit may finish the first job before the last submission.
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
-    clear_memo()
     sched = Scheduler(store=None, sink=sink, max_pending=1)
     try:
         with inject("cm.chunk", "slow", arg=0.05):

@@ -121,9 +121,9 @@ def test_cold_report_reuses_the_cm_trace(spies):
     assert spies.hw_traces == []
 
 
-def test_memo_off_jobs_share_too(spies, monkeypatch):
+def test_memo_off_jobs_share_too(spies, request):
     reused = execute_report(SPEC)
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
+    request.getfixturevalue("no_memo")
     fresh = execute_report(SPEC)
     assert spies.hw_traces == []
     assert _hw_counters(fresh) == _hw_counters(reused)

@@ -136,14 +136,11 @@ def test_unknown_routes_and_jobs_get_404(server):
     assert code == 404
 
 
-def test_unfinished_result_is_202_not_a_failure(monkeypatch):
-    from repro.cache.memo import clear_memo
+def test_unfinished_result_is_202_not_a_failure(no_memo):
     from repro.runtime.faults import inject
     from repro.service.http import serve_in_thread
 
     # No store and no CM memo: the job really runs its CM chunks.
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
-    clear_memo()
     server, base, _thread = serve_in_thread(store=False, executor="thread")
     try:
         with inject("cm.chunk", "slow", arg=0.2):

@@ -29,15 +29,6 @@ def make_scheduler(store, sink, **kwargs):
     return Scheduler(store=store, sink=sink, **kwargs)
 
 
-@pytest.fixture()
-def no_memo(monkeypatch):
-    """Force every CM computation to actually run its engine."""
-    from repro.cache.memo import clear_memo
-
-    monkeypatch.setenv("REPRO_CM_MEMO", "0")
-    clear_memo()
-
-
 def event_kinds(sink):
     return [event.kind for event in sink.events()]
 

@@ -81,7 +81,7 @@ class TestReportObjects:
         )
         assert not degraded.fully_exact
         assert store.put_report(spec, degraded) is None
-        assert not store.has_report(spec.digest())
+        assert not store.report_path(spec.digest()).exists()
         assert store.query() == []
 
     def test_corrupted_entry_is_quarantined_never_served(self, store):
