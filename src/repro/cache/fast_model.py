@@ -51,8 +51,11 @@ simulator's (:mod:`repro.cache.simulator`); both accept a classification
 the caller already holds, so the CM and the simulator of one trace
 classify its first level once.  The write-through next-level stream
 (miss fetch, then the forwarded write for stores, in program order) is
-materialized with a cumulative-sum scatter, so the whole hierarchy is
-evaluated without Python-level per-access work.  The engine is
+built from the accesses that emit, each repeating its line once or
+twice, so the whole hierarchy is evaluated without Python-level
+per-access work.  Every level keeps the dtype of the line ids it is
+given (:func:`level_lines`): the memo's int32 streams stay int32 from
+the first level to the last.  The engine is
 bit-for-bit equivalent to the reference loop (asserted by the randomized
 suite in ``tests/cache/test_fast_model.py`` and by the exact polyhedral
 model on small kernels) -- it changes evaluation speed, not the Sec. IV
@@ -147,8 +150,12 @@ def le_rank(values: np.ndarray) -> np.ndarray:
     return rank[:n]
 
 
-def _empty_level() -> Tuple[int, int, np.ndarray, np.ndarray]:
-    return 0, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+def level_lines(lines: np.ndarray) -> np.ndarray:
+    """``lines`` as every level reads them: contiguous, int32 ids kept
+    as int32 (the memo's streams) and any other integers as int64."""
+    lines = np.asarray(lines)
+    dtype = np.int32 if lines.dtype == np.int32 else np.int64
+    return np.ascontiguousarray(lines, dtype=dtype)
 
 
 def _index_dtype(n: int):
@@ -393,7 +400,8 @@ def classify_misses(
 ) -> MissClassification:
     """Stages 1-6 of the cascade over one level stream.
 
-    ``lines`` is a contiguous int64 array; ``checkpoint`` runs at the
+    ``lines`` is a contiguous int32 or int64 array (:func:`level_lines`),
+    and ``kept_lines`` keeps its dtype; ``checkpoint`` runs at the
     cascade's cooperative interruption points (stage boundaries and
     every few counting rounds).  Index arrays are int32 whenever the
     stream fits, and every transient is released as soon as the next
@@ -545,15 +553,16 @@ def model_level(
 
     Returns ``(cold, capacity_conflict, next_lines, next_writes)`` with the
     identical counters and identically ordered next-level stream as the
-    reference loop in :mod:`repro.cache.static_model`.  ``stages`` is the
-    level's classification when the caller already holds it; otherwise
-    the level is classified here through :func:`classify_level`.
+    reference loop in :mod:`repro.cache.static_model`; ``next_lines``
+    keeps the dtype :func:`level_lines` gives ``lines``.  ``stages`` is
+    the level's classification when the caller already holds it;
+    otherwise the level is classified here through :func:`classify_level`.
     """
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    lines = level_lines(lines)
     writes = np.ascontiguousarray(writes, dtype=bool)
     n = lines.size
     if n == 0:
-        return _empty_level()
+        return 0, 0, lines, writes
     if stages is None:
         stages = classify_level(lines, config, deadline)
     cold = stages.cold
@@ -565,17 +574,15 @@ def model_level(
     missed[heads if stages.times is None else stages.times[heads]] = True
     del stages, heads
 
-    # Write-through next-level stream: fetch (read) per miss, then the
-    # forwarded write for stores, in access order.
-    emit = missed.astype(np.int32) + writes
-    slot = np.cumsum(emit, dtype=np.int64) - emit
-    total = int(slot[-1] + emit[-1])
-    next_lines = np.empty(total, dtype=np.int64)
-    next_writes = np.empty(total, dtype=bool)
-    fetch_slots = slot[missed]
-    next_lines[fetch_slots] = lines[missed]
-    next_writes[fetch_slots] = False
-    write_slots = slot[writes] + missed[writes]
-    next_lines[write_slots] = lines[writes]
-    next_writes[write_slots] = True
+    # Write-through next-level stream, built from the accesses that emit:
+    # each repeats its line once or twice, the fetch (a read) of a miss
+    # and then the forwarded write of a store, in program order.
+    at = np.flatnonzero(missed | writes)
+    fetch = missed[at]
+    emits = fetch.view(np.int8) + writes[at]
+    next_lines = np.repeat(lines[at], emits)
+    next_writes = np.ones(next_lines.size, dtype=bool)
+    first = np.cumsum(emits, dtype=_index_dtype(next_lines.size))
+    first -= emits
+    next_writes[first[fetch]] = False
     return cold, cap_conflict, next_lines, next_writes

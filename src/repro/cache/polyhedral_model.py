@@ -29,7 +29,7 @@ kernel both can handle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
 from repro.isllite import (

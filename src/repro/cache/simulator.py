@@ -26,7 +26,11 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
-from repro.cache.fast_model import MissClassification, classify_misses
+from repro.cache.fast_model import (
+    MissClassification,
+    classify_misses,
+    level_lines,
+)
 from repro.cache.trace import AccessTrace, LineStream, line_stream
 
 
@@ -109,7 +113,7 @@ def _simulate_level(
     """
     n = lines.size
     if n == 0:
-        return 0, 0, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        return 0, 0, 0, lines, np.empty(0, dtype=bool)
     if stages is None:
         stages = classify_misses(lines, config)
     times, kept_idx, kept_lines, order, missed, _cold = stages
@@ -171,7 +175,7 @@ def _simulate_level(
     emit = emit[at]
     slot = np.cumsum(emit, dtype=np.int64)
     slot -= emit
-    next_lines = np.empty(misses + victim_lines.size, dtype=np.int64)
+    next_lines = np.empty(misses + victim_lines.size, dtype=lines.dtype)
     next_writes = np.zeros(next_lines.size, dtype=bool)
     next_lines[slot] = lines[at]
     spill_slots = slot[emit == 2] + 1
@@ -195,7 +199,7 @@ def simulate_hierarchy(
     write-back tail, and the levels below run as always.
     """
     stream = line_stream(trace, hierarchy.line_bytes)
-    lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
+    lines = level_lines(stream.lines)
     writes = stream.writes
     stats: List[LevelStats] = []
     for config in hierarchy.levels:

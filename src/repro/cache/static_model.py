@@ -37,12 +37,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.cache.config import CacheHierarchy, CacheLevelConfig
 from repro.cache.fast_model import (
     MissClassification,
     classify_level,
+    level_lines,
     model_level as _fast_model_level,
 )
 from repro.cache.simulator import CacheSimResult, simulate_hierarchy
@@ -223,7 +222,7 @@ def polyufc_cm(
     faults.fire("cm.engine")
     _check_deadline(deadline, "cm.engine")
     stream = line_stream(trace, hierarchy.line_bytes)
-    lines = np.ascontiguousarray(stream.lines, dtype=np.int64)
+    lines = level_lines(stream.lines)
     writes = stream.writes
     share = hardware is not None and hardware.hierarchy == hierarchy
     first_level: Optional[MissClassification] = None

@@ -43,7 +43,7 @@ raises :class:`SymbolicUnsupported` so the caller falls back to the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,10 +56,8 @@ from repro.cache.static_model import (
     _divide,
 )
 from repro.ir.core import Buffer, IRError, Module, Op
-from repro.ir.dialects import arith
 from repro.ir.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.ir.dialects.linalg import LinalgOp
-from repro.ir.dialects.polyufc import SetUncoreCapOp
 from repro.runtime import Deadline, check as _check_deadline, faults
 
 

@@ -18,7 +18,7 @@ is how the lowering passes are tested for semantic preservation.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 
 class IRError(Exception):

@@ -8,7 +8,7 @@ which is exactly the class of programs the polyhedral middle end
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir.core import Buffer, IRError, Module, Op, Region, Value
 from repro.isllite import LinExpr

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.ir.core import IRError, Module, Op, Value
+from repro.ir.core import IRError, Module, Op
 from repro.ir.dialects import arith
 from repro.ir.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.ir.dialects.linalg import (

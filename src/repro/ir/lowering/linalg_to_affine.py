@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List
 
-from repro.ir.core import IRError, Module, Op
+from repro.ir.core import IRError, Module
 from repro.ir.builder import AffineBuilder
-from repro.ir.dialects.affine import AffineForOp
 from repro.ir.dialects.linalg import (
     BatchMatmulOp,
     BroadcastCombineOp,

@@ -15,7 +15,7 @@ contract that the printer output is complete.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ir.core import Buffer, ElementType, F16, F32, F64, I32, IRError, Module, Value
 from repro.ir.dialects import arith

@@ -23,11 +23,10 @@ back to numeric counting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isllite.errors import IslError
 from repro.isllite.linexpr import LinExpr

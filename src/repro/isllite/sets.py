@@ -9,7 +9,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.isllite.constraint import Constraint
-from repro.isllite.errors import IslError, SpaceMismatchError
+from repro.isllite.errors import IslError
 from repro.isllite.fm import (
     FALSE_CONSTRAINT,
     constant_bounds,

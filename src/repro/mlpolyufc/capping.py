@@ -11,10 +11,10 @@ bandwidth-bound code (never starve bandwidth).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.hw.platform import PlatformSpec
-from repro.ir.core import Module, Op
+from repro.ir.core import Module
 from repro.ir.dialects.polyufc import SetUncoreCapOp
 from repro.mlpolyufc.characterization import UnitCharacterization
 from repro.search.polyufc_search import (

@@ -8,9 +8,9 @@ is dead and costs a driver call (~35us/21us) for nothing.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.ir.core import Module, Op
+from repro.ir.core import Module
 from repro.ir.dialects.polyufc import SetUncoreCapOp
 
 

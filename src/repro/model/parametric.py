@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cache.static_model import CacheModelResult
 from repro.roofline.characterize import Boundedness, characterize

@@ -21,9 +21,9 @@ time stays out of the four stages.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cache.static_model import SimulatorTail
 from repro.hw.platform import PlatformSpec

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.ir.dialects.affine import AffineForOp
-from repro.poly.scop import AccessRef, SCoP, Statement
+from repro.poly.scop import SCoP, Statement
 
 #: A direction component: exact distance, '*' (unknown) or '0+' (>= 0).
 Component = Union[int, str]

@@ -14,7 +14,7 @@ arith, one or more stores).  Each statement carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir.core import Buffer, IRError, Module, Op
 from repro.ir.dialects import arith

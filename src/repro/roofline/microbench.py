@@ -17,9 +17,9 @@ and energies -- never read from the platform's ground truth:
 from __future__ import annotations
 
 import statistics
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.hw.execution import KernelWorkload, RunResult, execute_fixed
+from repro.hw.execution import KernelWorkload, execute_fixed
 from repro.hw.platform import PlatformSpec
 from repro.roofline.constants import InverseFit, LinearFit, RooflineConstants
 

@@ -22,15 +22,12 @@ Objectives: ``edp`` (default), ``energy``, ``performance``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 from repro.hw.platform import UncoreSpec
 from repro.model.parametric import PolyUFCModel
 
 OBJECTIVES = ("edp", "energy", "performance")
-
-#: Probe pairs the binary search may spend before it stops unconverged.
-MAX_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,6 @@ class SearchResult:
     objective_value: float
     boundedness: str
     steps: List[SearchStep] = field(default_factory=list)
-    converged: bool = True
 
     @property
     def iterations(self) -> int:
@@ -106,9 +102,7 @@ def polyufc_search(
 
     # --- phase 1: binary search over the frequency grid ----------------------
     lo, hi = 0, len(freqs) - 1
-    iterations = 0
-    while hi - lo > 1 and iterations < MAX_ITERATIONS:
-        iterations += 1
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         here = objective_of(evaluate(freqs[mid]))
         there = objective_of(evaluate(freqs[mid + 1]))
@@ -120,7 +114,6 @@ def polyufc_search(
     best = min(candidates, key=objective_of)
 
     # --- phase 2: epsilon-guided directional refinement ----------------------
-    converged = iterations < MAX_ITERATIONS
     index = freqs.index(best.f_ghz)
 
     def ratio(num: float, den: float) -> float:
@@ -164,5 +157,4 @@ def polyufc_search(
         objective_value=objective_of(best),
         boundedness=str(model.boundedness),
         steps=steps,
-        converged=converged,
     )

@@ -56,7 +56,7 @@ import time
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 EVENT_KINDS = (
     "submitted",

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.config import CacheHierarchy, CacheLevelConfig

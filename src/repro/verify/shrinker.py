@@ -23,7 +23,7 @@ shrinks the search space for every later pass.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.verify.generator import (
     AccessSpec,

@@ -35,17 +35,51 @@ def level_config(num_sets, assoc, line=64):
 
 
 def assert_levels_match(lines, writes, config):
-    """Fast and reference agree on counters and the forwarded stream."""
-    lines = np.asarray(lines, dtype=np.int64)
+    """Fast and reference agree on counters and the forwarded stream, on
+    int32 and on int64 line ids; the stream keeps the ids' dtype."""
     writes = np.asarray(writes, dtype=bool)
     ref_cold, ref_cc, ref_lines, ref_writes = _reference_level(
-        lines.tolist(), [bool(w) for w in writes], config
+        np.asarray(lines, dtype=np.int64).tolist(), writes.tolist(), config
     )
-    cold, cc, next_lines, next_writes = model_level(lines, writes, config)
-    assert (cold, cc) == (ref_cold, ref_cc)
-    assert next_lines.tolist() == list(ref_lines)
-    assert next_writes.tolist() == list(ref_writes)
+    for dtype in (np.int32, np.int64):
+        ids = np.asarray(lines, dtype=dtype)
+        cold, cc, next_lines, next_writes = model_level(ids, writes, config)
+        assert (cold, cc) == (ref_cold, ref_cc)
+        assert all(type(c) is int for c in (cold, cc))
+        assert next_lines.dtype == ids.dtype
+        assert next_lines.tolist() == ref_lines
+        assert next_writes.tolist() == ref_writes
     return next_lines, next_writes
+
+
+def wide_hit_window():
+    """A hit whose reuse window is too wide for the chunk rounds.
+
+    One set of 4 ways: ten other lines (so the conflict-free shortcut
+    does not fire), then line 0, ``[1, 2, 3]`` 2,774 times and line 0
+    again.  The last access's window spans more than ``_PREFIX_DIRECT``
+    chunks but holds only 3 distinct lines.
+    """
+    lines = np.concatenate(
+        (np.arange(100, 110), [0], np.tile([1, 2, 3], 2774), [0])
+    )
+    writes = np.arange(lines.size) % 5 == 0
+    return lines, writes, level_config(1, 4)
+
+
+def record_prefix_distances(monkeypatch):
+    """Wrap ``_prefix_count``; the returned list gets the reuse distances
+    of every call's queries."""
+    calls = []
+    original = fast_model._prefix_count
+
+    def recording(w, gi, wq, **kwargs):
+        counts = original(w, gi, wq, **kwargs)
+        calls.append((counts - wq).tolist())
+        return counts
+
+    monkeypatch.setattr(fast_model, "_prefix_count", recording)
+    return calls
 
 
 class TestLeRank:
@@ -111,20 +145,20 @@ class TestCascadeStages:
         # accesses inside), defeating the cold lower bound, and their
         # width exceeds the direct-routing threshold -- so the prefix
         # counter must run, and must agree with the reference loop.
-        calls = []
-        original = fast_model._prefix_count
-
-        def counting_prefix(w, gi, wq, **kwargs):
-            calls.append(gi.size)
-            return original(w, gi, wq, **kwargs)
-
-        monkeypatch.setattr(fast_model, "_prefix_count", counting_prefix)
+        calls = record_prefix_distances(monkeypatch)
         distinct = (fast_model._PREFIX_DIRECT + 4) * fast_model._CHUNK
         lines = np.tile(np.arange(distinct, dtype=np.int64), 3)
         rng = np.random.default_rng(5)
         writes = rng.random(lines.size) < 0.25
         assert_levels_match(lines, writes, level_config(1, 4))
         assert calls, "expected the huge windows to reach prefix counting"
+
+    def test_prefix_counting_finds_a_hit(self, monkeypatch):
+        # The only hard query is a hit routed straight to prefix counting:
+        # one call per id width, each answering distance 3.
+        calls = record_prefix_distances(monkeypatch)
+        assert_levels_match(*wide_hit_window())
+        assert calls == [[3], [3]]
 
     def test_rounds_early_termination(self):
         # Cycling a set slightly larger than the ways: every reuse window

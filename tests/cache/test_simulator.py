@@ -14,6 +14,7 @@ from repro.cache import (
     AccessTrace,
     CacheHierarchy,
     CacheLevelConfig,
+    LineStream,
     generate_trace,
     simulate_hierarchy,
 )
@@ -33,6 +34,10 @@ from repro.cache.static_model import (
 from repro.hw.platform import get_platform
 from repro.ir.core import Buffer, F64
 from tests.cache.test_engine_agreement import ALL_BENCHMARKS, _build
+from tests.cache.test_fast_model import (
+    record_prefix_distances,
+    wide_hit_window,
+)
 
 
 def synthetic_trace(offsets, writes=None, element_bytes=8, buffer_len=None):
@@ -187,19 +192,22 @@ def level_config(num_sets, assoc, line=64):
 
 
 def assert_level_matches(lines, writes, config):
-    """Vectorized and reference levels agree on counters and stream."""
-    lines = np.asarray(lines, dtype=np.int64)
+    """Vectorized and reference levels agree on counters and stream, on
+    int32 and on int64 line ids; the stream keeps the ids' dtype."""
     writes = np.asarray(writes, dtype=bool)
     ref_hits, ref_misses, ref_wb, ref_lines, ref_writes = _reference_level(
-        lines.tolist(), writes.tolist(), config
+        np.asarray(lines, dtype=np.int64).tolist(), writes.tolist(), config
     )
-    hits, misses, writebacks, next_lines, next_writes = _simulate_level(
-        lines, writes, config
-    )
-    assert (hits, misses, writebacks) == (ref_hits, ref_misses, ref_wb)
-    assert all(type(c) is int for c in (hits, misses, writebacks))
-    assert next_lines.tolist() == ref_lines
-    assert next_writes.tolist() == ref_writes
+    for dtype in (np.int32, np.int64):
+        ids = np.asarray(lines, dtype=dtype)
+        hits, misses, writebacks, next_lines, next_writes = _simulate_level(
+            ids, writes, config
+        )
+        assert (hits, misses, writebacks) == (ref_hits, ref_misses, ref_wb)
+        assert all(type(c) is int for c in (hits, misses, writebacks))
+        assert next_lines.dtype == ids.dtype
+        assert next_lines.tolist() == ref_lines
+        assert next_writes.tolist() == ref_writes
 
 
 class TestVectorizedLevel:
@@ -229,19 +237,17 @@ class TestVectorizedLevel:
     def test_huge_windows_reach_prefix_counting(self, monkeypatch):
         # Three passes over far more lines than ways: the third pass's
         # reuse windows are too wide for the chunk rounds.
-        calls = []
-        original = fast_model._prefix_count
-
-        def counting_prefix(w, gi, wq, **kwargs):
-            calls.append(gi.size)
-            return original(w, gi, wq, **kwargs)
-
-        monkeypatch.setattr(fast_model, "_prefix_count", counting_prefix)
+        calls = record_prefix_distances(monkeypatch)
         distinct = (fast_model._PREFIX_DIRECT + 4) * fast_model._CHUNK
         lines = np.tile(np.arange(distinct, dtype=np.int64), 3)
         writes = np.random.default_rng(5).random(lines.size) < 0.25
         assert_level_matches(lines, writes, level_config(1, 4))
         assert calls, "expected the huge windows to reach prefix counting"
+
+    def test_prefix_counting_finds_a_hit(self, monkeypatch):
+        calls = record_prefix_distances(monkeypatch)
+        assert_level_matches(*wide_hit_window())
+        assert calls == [[3], [3]]
 
     def test_hard_queries_span_several_batches(self):
         # Cycling slightly more lines than ways with random stores: every
@@ -342,6 +348,28 @@ class TestSharedClassification:
         assert_shared_path_matches(
             synthetic_trace([], buffer_len=1), small_hierarchy(levels=2)
         )
+
+    def test_ids_beyond_int32(self):
+        # A stream line_stream would hold as int64: every level runs on
+        # int64 ids and still equals both per-access oracles.
+        rng = np.random.default_rng(17)
+        lines = (1 << 40) + rng.integers(0, 300, 3000)
+        writes = rng.random(lines.size) < 0.3
+        stream = LineStream(64, lines, writes)
+        hierarchy = small_hierarchy(l1_lines=8, assoc=2, levels=3)
+        reference = []
+        ids, flags = lines.tolist(), writes.tolist()
+        for config in hierarchy.levels:
+            hits, misses, writebacks, ids, flags = _reference_level(
+                ids, flags, config
+            )
+            reference.append((config.name, hits + misses, misses, writebacks))
+        assert simulate_hierarchy(stream, hierarchy).counters() == tuple(
+            reference
+        )
+        cm = polyufc_cm(stream, hierarchy, hardware=SimulatorTail(hierarchy))
+        assert cm.hardware.counters() == tuple(reference)
+        assert cm.counters() == reference_cm(stream, hierarchy).counters()
 
     def test_tail_only_for_the_modelled_hierarchy(self):
         trace = synthetic_trace(np.arange(0, 800, 8))
